@@ -1,12 +1,12 @@
-//! Criterion: phase-2 inference — streaming vs serial convergence series,
-//! and dense vs pruned clustering on measurement-like graphs.
+//! Criterion: phase-2 inference — the streaming convergence series, and
+//! dense vs pruned clustering on measurement-like graphs.
 
 use btt_core::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// One shared mid-size campaign (3 sites × 8 hosts WAN, 12 iterations):
-/// big enough that the per-prefix re-aggregation cost shows, small enough
-/// for quick bench runs.
+/// big enough that per-prefix aggregation and clustering show, small
+/// enough for quick bench runs.
 fn campaign() -> (btt_swarm::broadcast::Campaign, Partition) {
     let scenario = ScenarioSpec::parse("wan:3x8:0.25").expect("spec parses").build();
     let truth = scenario.ground_truth.clone();
@@ -19,9 +19,6 @@ fn bench_convergence(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference/convergence-series");
     group.bench_function("streaming-parallel", |b| {
         b.iter(|| convergence_series(&campaign, &truth, ClusteringAlgorithm::Louvain, 7))
-    });
-    group.bench_function("serial-reference", |b| {
-        b.iter(|| convergence_series_serial(&campaign, &truth, ClusteringAlgorithm::Louvain, 7))
     });
     group.finish();
 }

@@ -54,8 +54,6 @@ options:
                            suffixes like wan-512+churn=0.05
   --backends <B,B,...>     phase-2 inference backends (default:
                            louvain,label-propagation); `btt list` names them
-  --algorithms <A,A,...>   alias for --backends (kept for pre-backend
-                           scripts)
   --seeds <N,N,...>        master seeds (default: 2012)
   --iterations <N>         broadcast iterations per run (default: 10)
   --paper-iterations       use each scenario's default iteration count
@@ -104,7 +102,6 @@ options:
   --concurrency <N>        concurrent client connections (default: 4)
   --scenario <SPEC>        scenario per job (default: star:2x4:0.2:4)
   --backend <B>            inference backend (default: louvain)
-  --algorithm <A>          alias for --backend
   --seed <N>               base seed; job i uses seed+i (default: 2012)
   --iterations <N>         broadcast iterations per job (default: 3)
   --pieces <N>             file size in 16 KiB fragments (default: 64)
@@ -367,9 +364,9 @@ fn stress_cmd(args: &[String]) -> ExitCode {
                 }
                 spec.scenario = v;
             }
-            "--backend" | "--algorithm" => {
+            "--backend" => {
                 let Some(v) = value() else {
-                    return stress_err(format!("{flag} needs a value"));
+                    return stress_err("--backend needs a value".into());
                 };
                 if Backend::from_name(&v).is_none() {
                     return stress_err(format!(
@@ -467,9 +464,9 @@ fn sweep(args: &[String]) -> ExitCode {
                     Err(e) => return sweep_err(e),
                 }
             }
-            "--backends" | "--algorithms" => {
+            "--backends" => {
                 let Some(v) = value() else {
-                    return sweep_err(format!("{flag} needs a value"));
+                    return sweep_err("--backends needs a value".into());
                 };
                 match parse_backend_list(&v) {
                     Ok(backends) => spec.backends = backends,

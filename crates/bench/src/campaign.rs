@@ -24,7 +24,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A `--backends` (or `--algorithms`) list that failed to parse. Typed so
+/// A `--backends` list that failed to parse. Typed so
 /// the CLI can exit with a message naming the exact offending entry rather
 /// than a generic "bad list".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -517,11 +517,12 @@ pub struct InferenceBenchPoint {
     pub pieces: u32,
     /// Broadcast iterations — and therefore convergence-series prefixes.
     pub iterations: u32,
-    /// Wall-clock of the same convergence series on the pre-refactor
-    /// serial path (`convergence_series_serial`: O(n²) re-aggregation and
-    /// a dense Louvain per prefix), in milliseconds, measured once at the
-    /// streaming-inference PR on its reference machine. Absolute values
-    /// are machine-dependent; the recorded speedups are the comparable
+    /// Wall-clock of the same convergence series on the pre-streaming
+    /// serial path (O(n²) re-aggregation and a dense Louvain per prefix;
+    /// kept only as the test oracle in `crates/core/tests/phase2_scale.rs`),
+    /// in milliseconds, measured once when streaming inference landed, on
+    /// that change's reference machine. Absolute values are
+    /// machine-dependent; the recorded speedups are the comparable
     /// quantity.
     pub baseline_serial_ms: Option<f64>,
     /// Worker threads for the phase-1 measurement campaign

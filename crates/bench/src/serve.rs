@@ -162,9 +162,7 @@ impl std::error::Error for ServeError {}
 pub struct JobSpec {
     /// The scenario to measure (required).
     pub scenario: ScenarioSpec,
-    /// Phase-2 inference backend (optional, default `louvain`; the wire
-    /// accepts the key as `backend` or, for pre-backend clients,
-    /// `algorithm`).
+    /// Phase-2 inference backend (optional, default `louvain`).
     pub backend: Backend,
     /// Master seed (optional, default 2012).
     pub seed: u64,
@@ -196,7 +194,6 @@ impl JobSpec {
                 key.as_str(),
                 "scenario"
                     | "backend"
-                    | "algorithm"
                     | "seed"
                     | "iterations"
                     | "pieces"
@@ -212,20 +209,14 @@ impl JobSpec {
             .as_str()
             .ok_or_else(|| bad("scenario", "expected a spec string".to_string()))?;
         let scenario = ScenarioSpec::parse(scenario_str).map_err(|e| bad("scenario", e))?;
-        // `backend` is the field's name; `algorithm` is honored as an alias
-        // for pre-backend clients. Naming both is ambiguous, so it errors.
-        if v.get("backend").is_some() && v.get("algorithm").is_some() {
-            return Err(bad("backend", "give either backend or algorithm, not both".to_string()));
-        }
-        let backend_key = if v.get("algorithm").is_some() { "algorithm" } else { "backend" };
-        let backend = match v.get(backend_key) {
+        let backend = match v.get("backend") {
             None => Backend::default(),
             Some(a) => {
                 let name =
-                    a.as_str().ok_or_else(|| bad(backend_key, "expected a string".to_string()))?;
+                    a.as_str().ok_or_else(|| bad("backend", "expected a string".to_string()))?;
                 Backend::from_name(name).ok_or_else(|| {
                     bad(
-                        backend_key,
+                        "backend",
                         format!(
                             "unknown backend {name:?}; valid backends: {}",
                             Backend::name_list()
@@ -904,7 +895,16 @@ mod tests {
             (
                 Json::obj(vec![
                     ("scenario", Json::Str("2x2".to_string())),
-                    ("algorithm", Json::Str("quantum".to_string())),
+                    ("backend", Json::Str("quantum".to_string())),
+                ]),
+                "backend",
+            ),
+            // The pre-backend `algorithm` key is retired: even a valid
+            // backend name under it is rejected as an unknown field.
+            (
+                Json::obj(vec![
+                    ("scenario", Json::Str("2x2".to_string())),
+                    ("algorithm", Json::Str("louvain".to_string())),
                 ]),
                 "algorithm",
             ),

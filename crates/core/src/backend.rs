@@ -1,16 +1,17 @@
-//! Pluggable phase-2 inference backends.
+//! The phase-2 inference backend registry.
 //!
 //! The paper only ever validated one inference family — modularity-style
-//! graph clustering over the Eq. (2) metric. This module abstracts the
-//! "snapshot graph → host partition" step behind the [`InferenceBackend`]
-//! trait so independent families can be cross-validated on the same
-//! measurement campaign:
+//! graph clustering over the Eq. (2) metric. [`Backend`] names every
+//! "snapshot graph → host partition" step the pipeline can run, so
+//! independent families can be cross-validated on the same measurement
+//! campaign:
 //!
-//! * [`ClusteringBackend`] re-homes the four historical
-//!   [`ClusteringAlgorithm`]s. It is *byte-identical* to the pre-trait
-//!   path: same per-prefix seed derivation, same [`LouvainScratch`] reuse
+//! * [`Backend::Clustering`] runs one of the four historical
+//!   [`ClusteringAlgorithm`]s through
+//!   [`ClusteringAlgorithm::cluster_into`] — the same per-prefix seed
+//!   derivation and [`LouvainScratch`] reuse the pipeline has always used
 //!   (pinned by `crates/core/tests/backend_golden.rs`).
-//! * [`AdditiveBackend`] is Ni & Tatikonda-style additive-metrics
+//! * [`Backend::Additive`] is Ni & Tatikonda-style additive-metrics
 //!   tomography ([`btt_cluster::additive`]): recursive grouping over the
 //!   log-throughput path metric, cut at the largest log-domain gap. It is
 //!   seedless — agreement between the two families on a scenario is
@@ -19,10 +20,11 @@
 //!
 //! [`Backend`] is the compact, copyable selector threaded through session
 //! builders, sweep specs, the serve job schema, and artifact writers;
-//! [`Backend::from_name`] / [`Backend::name`] define the CLI/JSON spelling.
-//! For clustering variants [`Backend::name`] deliberately returns the
-//! algorithm's own name (`"louvain"`, …) so artifact file stems and the
-//! report `algorithm` field survive the refactor byte-for-byte.
+//! [`Backend::from_name`] / [`Backend::name`] are the one CLI/JSON
+//! spelling registry. For clustering variants [`Backend::name`]
+//! deliberately returns the algorithm's own name (`"louvain"`, …) so
+//! artifact file stems and the report `algorithm` field stay
+//! byte-for-byte stable.
 
 use crate::pipeline::ClusteringAlgorithm;
 use btt_cluster::additive::additive_partition;
@@ -30,82 +32,14 @@ use btt_cluster::graph::WeightedGraph;
 use btt_cluster::louvain::LouvainScratch;
 use btt_cluster::partition::Partition;
 
-/// The phase-2 contract: turn one measurement snapshot graph into a host
-/// partition.
-///
-/// Determinism invariants every implementation must uphold (they are what
-/// keeps reports byte-identical across thread counts, drive modes, and
-/// batch/stream control flow):
-///
-/// * `infer` is a pure function of `(graph, seed)` — the scratch argument
-///   is working memory only and must never influence the output;
-/// * no global or ambient randomness: a backend that needs random choices
-///   derives them from `seed` alone;
-/// * no interior mutability keyed on call order: calling `infer` twice
-///   with the same arguments yields the same partition.
-pub trait InferenceBackend {
-    /// The backend's canonical (lower-case) name, as spelled in CLI flags,
-    /// job specs, and artifact fields.
-    fn name(&self) -> &'static str;
-
-    /// Infers the host partition from one snapshot measurement graph.
-    /// `scratch` is reusable Louvain working memory (ignored by backends
-    /// that do not run Louvain).
-    fn infer(&self, g: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch) -> Partition;
-
-    /// Whether the backend consumes the seed at all. Seedless backends are
-    /// deterministic per graph; reporting layers use this to annotate
-    /// cost/diagnostic output (a seed sweep over a seedless backend is
-    /// wasted work).
-    fn uses_seed(&self) -> bool {
-        true
-    }
-}
-
-/// The historical phase-2 path: one of the four clustering algorithms,
-/// behind the backend trait. Delegates to
-/// [`ClusteringAlgorithm::cluster_into`] with the caller's scratch — the
-/// exact call the pipeline made before the trait existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusteringBackend(pub ClusteringAlgorithm);
-
-impl InferenceBackend for ClusteringBackend {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn infer(&self, g: &WeightedGraph, seed: u64, scratch: &mut LouvainScratch) -> Partition {
-        self.0.cluster_into(g, seed, scratch)
-    }
-}
-
-/// Additive-metrics tomography (Ni & Tatikonda): recursive grouping over
-/// the log-throughput path metric. Seedless and scratch-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdditiveBackend;
-
-impl InferenceBackend for AdditiveBackend {
-    fn name(&self) -> &'static str {
-        "additive"
-    }
-
-    fn infer(&self, g: &WeightedGraph, _seed: u64, _scratch: &mut LouvainScratch) -> Partition {
-        additive_partition(g)
-    }
-
-    fn uses_seed(&self) -> bool {
-        false
-    }
-}
-
 /// Compact selector for an inference backend — the value threaded through
 /// session builders, sweep specs, serve jobs, and artifact writers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One of the four historical clustering algorithms
-    /// (see [`ClusteringBackend`]).
+    /// One of the four historical clustering algorithms.
     Clustering(ClusteringAlgorithm),
-    /// Additive-metrics tomography (see [`AdditiveBackend`]).
+    /// Additive-metrics tomography ([`additive_partition`]): seedless and
+    /// scratch-free.
     Additive,
 }
 
@@ -133,15 +67,20 @@ impl Backend {
         Backend::Additive,
     ];
 
-    /// Parses a backend name, case-insensitively. Accepts every
-    /// [`ClusteringAlgorithm::from_name`] spelling, the family name
-    /// `"clustering"` (= the paper's Louvain), and `"additive"`
-    /// (shorthand `"add"`).
+    /// Parses a backend name, case-insensitively: every canonical
+    /// [`Backend::name`], the shorthands `"im"`, `"lp"`, `"hlouvain"` and
+    /// `"add"`, and the family name `"clustering"` (= the paper's Louvain).
     pub fn from_name(name: &str) -> Option<Backend> {
+        let clustering = |a| Some(Backend::Clustering(a));
         match name.to_ascii_lowercase().as_str() {
-            "clustering" => Some(Backend::Clustering(ClusteringAlgorithm::Louvain)),
+            "louvain" | "clustering" => clustering(ClusteringAlgorithm::Louvain),
+            "infomap" | "im" => clustering(ClusteringAlgorithm::Infomap),
+            "label-propagation" | "lp" => clustering(ClusteringAlgorithm::LabelPropagation),
+            "hierarchical-louvain" | "hlouvain" => {
+                clustering(ClusteringAlgorithm::HierarchicalLouvain)
+            }
             "additive" | "add" => Some(Backend::Additive),
-            other => ClusteringAlgorithm::from_name(other).map(Backend::Clustering),
+            _ => None,
         }
     }
 
@@ -157,27 +96,39 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Clustering(a) => a.name(),
-            Backend::Additive => AdditiveBackend.name(),
+            Backend::Additive => "additive",
         }
     }
 
-    /// Whether the backend consumes the seed (see
-    /// [`InferenceBackend::uses_seed`]).
+    /// Whether the backend consumes the seed at all. Seedless backends are
+    /// deterministic per graph; reporting layers use this to annotate
+    /// cost/diagnostic output (a seed sweep over a seedless backend is
+    /// wasted work).
     pub fn uses_seed(self) -> bool {
-        match self {
-            Backend::Clustering(a) => ClusteringBackend(a).uses_seed(),
-            Backend::Additive => AdditiveBackend.uses_seed(),
-        }
+        matches!(self, Backend::Clustering(_))
     }
 
-    /// Runs the backend with fresh scratch memory.
+    /// Infers the host partition from one snapshot measurement graph, with
+    /// fresh scratch memory.
+    ///
+    /// The determinism contract every backend upholds — it is what keeps
+    /// reports byte-identical across thread counts, drive modes, and the
+    /// batch/stream control-flow split:
+    ///
+    /// * the output is a pure function of `(g, seed)`; the scratch memory
+    ///   of [`Backend::infer_into`] never influences it;
+    /// * no global or ambient randomness: random choices derive from
+    ///   `seed` alone;
+    /// * no state keyed on call order: the same arguments always yield the
+    ///   same partition.
     pub fn infer(self, g: &WeightedGraph, seed: u64) -> Partition {
         self.infer_into(g, seed, &mut LouvainScratch::default())
     }
 
-    /// Runs the backend reusing caller-provided Louvain working memory —
+    /// [`Backend::infer`] reusing caller-provided Louvain working memory —
     /// the long-lived-session path. Output is identical to
-    /// [`Backend::infer`] for any scratch state.
+    /// [`Backend::infer`] for any scratch state; backends that do not run
+    /// Louvain ignore it.
     pub fn infer_into(
         self,
         g: &WeightedGraph,
@@ -185,8 +136,8 @@ impl Backend {
         scratch: &mut LouvainScratch,
     ) -> Partition {
         match self {
-            Backend::Clustering(a) => ClusteringBackend(a).infer(g, seed, scratch),
-            Backend::Additive => AdditiveBackend.infer(g, seed, scratch),
+            Backend::Clustering(a) => a.cluster_into(g, seed, scratch),
+            Backend::Additive => additive_partition(g),
         }
     }
 }
@@ -202,9 +153,7 @@ mod tests {
         for alg in ClusteringAlgorithm::ALL {
             let direct = alg.cluster(&g, 42);
             let via_enum = Backend::Clustering(alg).infer(&g, 42);
-            let via_trait = ClusteringBackend(alg).infer(&g, 42, &mut LouvainScratch::default());
             assert_eq!(direct, via_enum, "{}", alg.name());
-            assert_eq!(direct, via_trait, "{}", alg.name());
         }
     }
 
@@ -224,6 +173,19 @@ mod tests {
             Some(Backend::Clustering(ClusteringAlgorithm::HierarchicalLouvain))
         );
         assert_eq!(Backend::from_name("nope"), None);
+    }
+
+    #[test]
+    fn infomap_parses_as_im() {
+        let infomap = Some(Backend::Clustering(ClusteringAlgorithm::Infomap));
+        assert_eq!(Backend::from_name("im"), infomap);
+        assert_eq!(Backend::from_name("IM"), infomap);
+        assert_eq!(Backend::from_name("imp"), None);
+        // Every advertised shorthand is listed and parses.
+        for token in ["im", "lp", "hlouvain", "clustering", "add"] {
+            assert!(Backend::name_list().contains(token), "{token}");
+            assert!(Backend::from_name(token).is_some(), "{token}");
+        }
     }
 
     #[test]

@@ -4,15 +4,28 @@
 //!
 //! # Phase 2 at scale
 //!
-//! [`convergence_series`] is incremental and parallel: one streaming pass
-//! folds each broadcast run into the metric exactly once (O(total edges)
-//! aggregation instead of the O(n²)-aggregations-per-series of re-scoring
-//! every prefix from scratch), snapshotting an immutable measurement graph
-//! per prefix; the per-prefix clustering + scoring then fans out over
-//! rayon. Per-prefix seeds are derived exactly as the historical serial
-//! path derived them, and the rayon shim preserves input order, so reports
-//! are byte-identical per seed — pinned by a golden equivalence test
-//! against [`convergence_series_serial`].
+//! Phase 2 is one computation with three shared pieces, each defined once
+//! in this module:
+//!
+//! * **scoring one prefix** — a partition of prefix `k`'s snapshot graph
+//!   becomes a [`ConvergencePoint`] (oNMI, NMI, clusters, modularity);
+//! * **filling the series** — one streaming pass folds each broadcast run
+//!   into the metric exactly once (O(total edges) aggregation instead of
+//!   re-aggregating every prefix from scratch), snapshotting an immutable
+//!   measurement graph for each missing prefix; the per-prefix clustering
+//!   + scoring then fans out over rayon in bounded chunks;
+//! * **assembling the report** — final partition, reliability block,
+//!   degeneracy flag and diagnosis around the filled series.
+//!
+//! [`analyze`] fills every prefix and assembles;
+//! [`crate::session::LiveSession`] scores its live re-clusters through the
+//! same scorer and, at finalize, fills only the prefixes its cadence
+//! skipped before the same assembly. [`convergence_series`] and
+//! [`convergence_series_timed`] are views over the fill. Per-prefix seeds
+//! are `splitmix64(seed ^ k)` and the rayon shim preserves input order, so
+//! reports are byte-identical per seed — pinned by a golden equivalence
+//! test against a serial from-scratch oracle kept in
+//! `crates/core/tests/phase2_scale.rs`.
 //!
 //! At [`SPARSE_NODE_THRESHOLD`] hosts and beyond, measurement graphs are
 //! sparsified ([`btt_cluster::graph_ops::prune_edges`]) before clustering:
@@ -35,7 +48,7 @@ use btt_cluster::nmi::nmi;
 use btt_cluster::onmi::onmi_partitions;
 use btt_cluster::partition::Partition;
 use btt_netsim::util::splitmix64;
-use btt_swarm::broadcast::Campaign;
+use btt_swarm::broadcast::{BroadcastResult, Campaign};
 use btt_swarm::metrics::MetricAccumulator;
 use rayon::prelude::*;
 use std::time::Instant;
@@ -63,25 +76,6 @@ impl ClusteringAlgorithm {
         ClusteringAlgorithm::LabelPropagation,
         ClusteringAlgorithm::HierarchicalLouvain,
     ];
-
-    /// Parses the name produced by [`ClusteringAlgorithm::name`]
-    /// (case-insensitive); `"im"`, `"lp"` and `"hlouvain"` are accepted
-    /// shorthands.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "louvain" => Some(ClusteringAlgorithm::Louvain),
-            "infomap" | "im" => Some(ClusteringAlgorithm::Infomap),
-            "label-propagation" | "lp" => Some(ClusteringAlgorithm::LabelPropagation),
-            "hierarchical-louvain" | "hlouvain" => Some(ClusteringAlgorithm::HierarchicalLouvain),
-            _ => None,
-        }
-    }
-
-    /// Every name [`ClusteringAlgorithm::from_name`] accepts, for error
-    /// messages ("valid algorithms: …").
-    pub fn name_list() -> &'static str {
-        "louvain, infomap (im), label-propagation (lp), hierarchical-louvain (hlouvain)"
-    }
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
@@ -367,8 +361,6 @@ impl InferenceTiming {
 /// Scores a campaign against ground truth after every iteration prefix.
 ///
 /// Incremental and parallel: see the module docs ("Phase 2 at scale").
-/// Byte-identical per seed to [`convergence_series_serial`] below
-/// [`SPARSE_NODE_THRESHOLD`] hosts.
 pub fn convergence_series(
     campaign: &Campaign,
     ground_truth: &Partition,
@@ -378,9 +370,9 @@ pub fn convergence_series(
     convergence_series_timed(campaign, ground_truth, backend, seed).0
 }
 
-/// Snapshot graphs held in memory at once during a convergence series:
-/// the streaming pass materializes at most this many prefixes before the
-/// parallel scoring pass drains them, bounding peak memory at
+/// Snapshot graphs held in memory at once while filling a convergence
+/// series: the streaming pass materializes at most this many prefixes
+/// before the parallel scoring pass drains them, bounding peak memory at
 /// `PREFIX_CHUNK` graphs instead of one graph per iteration.
 const PREFIX_CHUNK: usize = 32;
 
@@ -391,85 +383,81 @@ pub fn convergence_series_timed(
     backend: impl Into<Backend>,
     seed: u64,
 ) -> (Vec<ConvergencePoint>, InferenceTiming) {
-    let backend = backend.into();
-    let n = campaign.runs.first().map_or(0, |r| r.fragments.len());
+    let mut points = vec![None; campaign.runs.len()];
+    let timing = fill_series(&campaign.runs, &mut points, ground_truth, backend.into(), seed);
+    (points.into_iter().map(|p| p.expect("the fill scores every prefix")).collect(), timing)
+}
 
-    // Alternate two passes per chunk of prefixes. Streaming pass: fold
-    // each run into the accumulator exactly once, snapshotting an
-    // immutable measurement graph after every push. Parallel pass:
-    // cluster + score the chunk's prefixes independently. Seeds are
-    // derived per prefix exactly as the serial path derived them, the
-    // rayon shim returns results in input order, and chunking changes
-    // neither — the series is deterministic regardless of thread count or
-    // chunk size.
-    let mut acc = MetricAccumulator::new(n);
-    let mut points: Vec<ConvergencePoint> = Vec::with_capacity(campaign.runs.len());
-    let mut aggregate_ms = 0.0;
-    let mut cluster_ms = 0.0;
-    for (chunk_idx, chunk) in campaign.runs.chunks(PREFIX_CHUNK).enumerate() {
-        let base = chunk_idx * PREFIX_CHUNK;
+/// Scores prefix `k`'s partition `p` of its snapshot graph `g` against
+/// ground truth — the one place a [`ConvergencePoint`] is built, shared by
+/// the batch fill and the streaming session's live re-clusters.
+pub(crate) fn score_prefix(
+    k: usize,
+    g: &WeightedGraph,
+    p: &Partition,
+    truth: &Partition,
+) -> ConvergencePoint {
+    ConvergencePoint {
+        iterations: k as u32,
+        onmi: onmi_partitions(p, truth),
+        nmi: nmi(p, truth),
+        clusters: p.num_clusters(),
+        modularity: modularity(g, p),
+    }
+}
+
+/// Fills every empty slot of `points` — slot `i` holds prefix `i + 1` of
+/// `runs` — and leaves filled slots untouched: all of them for the batch
+/// series, only the ones a streaming session's cadence skipped for
+/// [`crate::session::LiveSession::finalize`].
+///
+/// Alternates two passes. Streaming pass: fold each run into the
+/// accumulator exactly once, snapshotting an immutable measurement graph
+/// after each push whose prefix is missing. Parallel pass: once
+/// [`PREFIX_CHUNK`] snapshots are pending (or the last missing prefix is
+/// reached), cluster + score them independently. Prefix `k` is clustered
+/// with seed `splitmix64(seed ^ k)` and the rayon shim returns results in
+/// input order, so the series is deterministic regardless of thread
+/// count, chunk size, or which prefixes were already filled.
+fn fill_series(
+    runs: &[BroadcastResult],
+    points: &mut [Option<ConvergencePoint>],
+    truth: &Partition,
+    backend: Backend,
+    seed: u64,
+) -> InferenceTiming {
+    debug_assert_eq!(points.len(), runs.len());
+    let mut timing = InferenceTiming { aggregate_ms: 0.0, cluster_ms: 0.0 };
+    let Some(last) = points.iter().rposition(Option::is_none) else {
+        return timing;
+    };
+    let mut acc = MetricAccumulator::new(runs[0].fragments.len());
+    let mut snapshots: Vec<(usize, WeightedGraph)> = Vec::with_capacity(PREFIX_CHUNK);
+    for (i, run) in runs[..=last].iter().enumerate() {
         let t0 = Instant::now();
-        let snapshots: Vec<(usize, WeightedGraph)> = chunk
-            .iter()
-            .enumerate()
-            .map(|(i, run)| {
-                acc.push_run_partial(&run.fragments, &run.participated());
-                (base + i + 1, auto_metric_graph(&acc))
-            })
-            .collect();
-        aggregate_ms += t0.elapsed().as_secs_f64() * 1e3;
+        acc.push_run_partial(&run.fragments, &run.participated());
+        if points[i].is_none() {
+            snapshots.push((i + 1, auto_metric_graph(&acc)));
+        }
+        timing.aggregate_ms += t0.elapsed().as_secs_f64() * 1e3;
 
-        let t1 = Instant::now();
-        points.extend(
-            snapshots
+        if snapshots.len() == PREFIX_CHUNK || i == last {
+            let t1 = Instant::now();
+            let scored: Vec<ConvergencePoint> = std::mem::take(&mut snapshots)
                 .into_par_iter()
                 .map(|(k, g)| {
                     let p = backend.infer(&g, splitmix64(seed ^ k as u64));
-                    ConvergencePoint {
-                        iterations: k as u32,
-                        onmi: onmi_partitions(&p, ground_truth),
-                        nmi: nmi(&p, ground_truth),
-                        clusters: p.num_clusters(),
-                        modularity: modularity(&g, &p),
-                    }
+                    score_prefix(k, &g, &p, truth)
                 })
-                .collect::<Vec<ConvergencePoint>>(),
-        );
-        cluster_ms += t1.elapsed().as_secs_f64() * 1e3;
-    }
-    (points, InferenceTiming { aggregate_ms, cluster_ms })
-}
-
-/// The pre-streaming reference implementation: re-aggregates the metric
-/// from scratch via [`Campaign::metric_after`] and clusters a dense graph
-/// for every prefix, serially — O(n²) aggregation work per series.
-///
-/// Kept as the oracle for the golden equivalence test (the incremental
-/// parallel path must reproduce it bit-for-bit below
-/// [`SPARSE_NODE_THRESHOLD`] hosts) and as the recorded baseline the
-/// inference benchmark measures speedups against.
-pub fn convergence_series_serial(
-    campaign: &Campaign,
-    ground_truth: &Partition,
-    backend: impl Into<Backend>,
-    seed: u64,
-) -> Vec<ConvergencePoint> {
-    let backend = backend.into();
-    let n_iters = campaign.runs.len();
-    (1..=n_iters)
-        .map(|k| {
-            let acc = campaign.metric_after(k);
-            let g = metric_graph(&acc);
-            let p = backend.infer(&g, splitmix64(seed ^ k as u64));
-            ConvergencePoint {
-                iterations: k as u32,
-                onmi: onmi_partitions(&p, ground_truth),
-                nmi: nmi(&p, ground_truth),
-                clusters: p.num_clusters(),
-                modularity: modularity(&g, &p),
+                .collect();
+            for point in scored {
+                let slot = point.iterations as usize - 1;
+                points[slot] = Some(point);
             }
-        })
-        .collect()
+            timing.cluster_ms += t1.elapsed().as_secs_f64() * 1e3;
+        }
+    }
+    timing
 }
 
 /// A phase-2 failure surfaced at the pipeline boundary instead of as a
@@ -504,29 +492,43 @@ pub fn analyze(
     backend: impl Into<Backend>,
     seed: u64,
 ) -> Result<TomographyReport, PipelineError> {
-    let backend = backend.into();
+    let points = vec![None; campaign.runs.len()];
+    assemble_report(scenario, campaign, points, backend.into(), seed)
+}
+
+/// Finishes phase 2 — the one place a [`TomographyReport`] is built, for
+/// both batch [`analyze`] and [`crate::session::LiveSession::finalize`].
+///
+/// Fills the convergence prefixes `points` is missing (one slot per run;
+/// see `fill_series`), clusters the fully-aggregated metric with seed
+/// `splitmix64(seed ^ 0xFFFF_FFFF)`, and attaches the reliability block,
+/// the degeneracy flag and the inference diagnosis.
+pub(crate) fn assemble_report(
+    scenario: &Scenario,
+    campaign: Campaign,
+    mut points: Vec<Option<ConvergencePoint>>,
+    backend: Backend,
+    seed: u64,
+) -> Result<TomographyReport, PipelineError> {
     if campaign.runs.is_empty() {
         return Err(PipelineError::EmptyCampaign);
     }
-    let convergence = convergence_series(&campaign, &scenario.ground_truth, backend, seed);
+    let truth = &scenario.ground_truth;
+    fill_series(&campaign.runs, &mut points, truth, backend, seed);
+    let convergence = points.into_iter().map(|p| p.expect("the fill scores every prefix"));
     let g = auto_metric_graph(&campaign.metric);
     let final_partition = backend.infer(&g, splitmix64(seed ^ 0xFFFF_FFFF));
-    let reliability =
-        ReliabilityReport::from_campaign(&campaign, &final_partition, &scenario.ground_truth);
-    let degenerate = degenerate_partition(&final_partition);
-    let diagnosis =
-        inference_diagnosis(&g, &scenario.ground_truth, &scenario.routes, &scenario.hosts);
     Ok(TomographyReport {
         scenario_id: scenario.id.clone(),
         backend,
         seed,
+        convergence: convergence.collect(),
+        reliability: ReliabilityReport::from_campaign(&campaign, &final_partition, truth),
+        degenerate_partition: degenerate_partition(&final_partition),
+        diagnosis: inference_diagnosis(&g, truth, &scenario.routes, &scenario.hosts),
         campaign,
-        convergence,
         final_partition,
-        ground_truth: scenario.ground_truth.clone(),
-        degenerate_partition: degenerate,
-        reliability,
-        diagnosis,
+        ground_truth: truth.clone(),
     })
 }
 
@@ -634,32 +636,6 @@ mod tests {
             let p = alg.cluster(&g, 1);
             assert_eq!(p.len(), 6, "{}", alg.name());
         }
-    }
-
-    #[test]
-    fn streaming_series_matches_serial_reference() {
-        // The incremental parallel path must reproduce the from-scratch
-        // serial path exactly — same floats, same partitions — for every
-        // algorithm (below the sparsification threshold).
-        let c = fake_campaign(8, 6, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]);
-        let truth = Partition::from_assignments(&[0, 0, 0, 0, 1, 1, 1, 1]);
-        for alg in ClusteringAlgorithm::ALL {
-            let fast = convergence_series(&c, &truth, alg, 13);
-            let slow = convergence_series_serial(&c, &truth, alg, 13);
-            assert_eq!(fast, slow, "{}", alg.name());
-        }
-    }
-
-    #[test]
-    fn streaming_series_matches_serial_across_chunk_boundaries() {
-        // 70 prefixes span three PREFIX_CHUNK windows; chunked draining
-        // must not perturb a single float.
-        let c = fake_campaign(6, 70, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let truth = Partition::from_assignments(&[0, 0, 0, 1, 1, 1]);
-        let fast = convergence_series(&c, &truth, ClusteringAlgorithm::Louvain, 5);
-        let slow = convergence_series_serial(&c, &truth, ClusteringAlgorithm::Louvain, 5);
-        assert_eq!(fast.len(), 70);
-        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -773,21 +749,6 @@ mod tests {
                     alg.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn infomap_parses_as_im() {
-        assert_eq!(ClusteringAlgorithm::from_name("im"), Some(ClusteringAlgorithm::Infomap));
-        assert_eq!(ClusteringAlgorithm::from_name("IM"), Some(ClusteringAlgorithm::Infomap));
-        assert_eq!(ClusteringAlgorithm::from_name("imp"), None);
-        // Every advertised name round-trips.
-        for a in ClusteringAlgorithm::ALL {
-            assert_eq!(ClusteringAlgorithm::from_name(a.name()), Some(a));
-        }
-        for token in ["im", "lp", "hlouvain"] {
-            assert!(ClusteringAlgorithm::name_list().contains(token), "{token}");
-            assert!(ClusteringAlgorithm::from_name(token).is_some());
         }
     }
 

@@ -25,22 +25,19 @@
 //! [`LiveSession::current_best`] partition — with the reliability
 //! confidence fields — at any point mid-campaign. [`LiveSession::finalize`]
 //! then yields a [`TomographyReport`] byte-identical to what the batch
-//! path produces from the same seed: the fold order, per-prefix seeds,
-//! graph policy, and clustering are the batch pipeline's own, so inverting
-//! the control flow changes *when* inference happens, never *what* it
-//! computes.
+//! path produces from the same seed. Live re-clusters are scored by the
+//! pipeline's prefix scorer, and finalize back-fills the prefixes the
+//! cadence skipped through the batch pipeline's own prefix-parallel fill
+//! and report assembly (see [`crate::pipeline`]), so inverting the control
+//! flow changes *when* inference happens, never *what* it computes.
 
 use crate::backend::Backend;
 use crate::dataset::{Dataset, Scenario};
-use crate::diagnosis::inference_diagnosis;
 use crate::pipeline::{
-    analyze, auto_metric_graph, degenerate_partition, ClusteringAlgorithm, ConvergencePoint,
-    PipelineError, ReliabilityReport, TomographyReport,
+    analyze, assemble_report, auto_metric_graph, degenerate_partition, score_prefix,
+    ClusteringAlgorithm, ConvergencePoint, PipelineError, ReliabilityReport, TomographyReport,
 };
 use btt_cluster::louvain::LouvainScratch;
-use btt_cluster::modularity::modularity;
-use btt_cluster::nmi::nmi;
-use btt_cluster::onmi::onmi_partitions;
 use btt_cluster::partition::Partition;
 use btt_netsim::util::splitmix64;
 use btt_swarm::broadcast::{
@@ -110,15 +107,9 @@ impl TomographySession {
         self
     }
 
-    /// Sets the phase-2 clustering algorithm (default Louvain). Sugar for
-    /// [`TomographySession::backend`] with [`Backend::Clustering`].
-    pub fn algorithm(mut self, a: ClusteringAlgorithm) -> Self {
-        self.backend = Backend::Clustering(a);
-        self
-    }
-
     /// Sets the phase-2 inference backend (default the paper's Louvain
-    /// clustering).
+    /// clustering); a bare [`ClusteringAlgorithm`] converts into its
+    /// [`Backend::Clustering`] variant.
     pub fn backend(mut self, b: impl Into<Backend>) -> Self {
         self.backend = b.into();
         self
@@ -352,11 +343,12 @@ impl std::error::Error for SessionError {}
 /// the live measurement graph every `recluster_every`-th observation
 /// (reusing one [`LouvainScratch`] across snapshots so the hot loop stays
 /// allocation-free), and keeps [`LiveSession::current_best`] pointed at the
-/// freshest scored partition. [`LiveSession::finalize`] fills in any
-/// convergence prefixes the cadence skipped and emits the standard
-/// [`TomographyReport`] — byte-identical to the batch pipeline's, because
-/// every input to every computation (fold order, accumulator state,
-/// per-prefix seeds, graph policy) is the same.
+/// freshest scored partition. [`LiveSession::finalize`] back-fills the
+/// convergence prefixes the cadence skipped through the batch pipeline's
+/// prefix-parallel fill and emits the standard [`TomographyReport`] —
+/// byte-identical to the batch pipeline's, because every input to every
+/// computation (fold order, accumulator state, per-prefix seeds, graph
+/// policy) is the same.
 #[derive(Debug)]
 pub struct LiveSession {
     session: TomographySession,
@@ -432,20 +424,14 @@ impl LiveSession {
 
     /// Re-clusters the live graph after `k` observations, exactly as the
     /// batch convergence series clusters prefix `k`: same graph policy,
-    /// same per-prefix seed, and `cluster_into` output is identical to
-    /// `cluster` for any scratch state.
+    /// same per-prefix seed, the same prefix scorer, and `infer_into`
+    /// output is identical to `infer` for any scratch state.
     fn recluster(&mut self, k: u32) {
         let truth = &self.session.scenario.ground_truth;
         let g = auto_metric_graph(&self.acc);
         let seed = splitmix64(self.session.seed ^ k as u64);
         let p = self.session.backend.infer_into(&g, seed, &mut self.scratch);
-        let point = ConvergencePoint {
-            iterations: k,
-            onmi: onmi_partitions(&p, truth),
-            nmi: nmi(&p, truth),
-            clusters: p.num_clusters(),
-            modularity: modularity(&g, &p),
-        };
+        let point = score_prefix(k as usize, &g, &p, truth);
         self.points[k as usize - 1] = Some(point.clone());
         let reliability = ReliabilityReport::compute(
             &p,
@@ -468,59 +454,15 @@ impl LiveSession {
     /// configured — e.g. an aborted daemon job — as long as at least one
     /// observation arrived).
     ///
-    /// Convergence prefixes the cadence skipped are computed here by one
-    /// streaming replay of the stored runs — the identical pure
-    /// computation the batch series performs, so the finalized report is
-    /// byte-identical to `analyze()` on the equivalent campaign.
-    pub fn finalize(mut self) -> Result<TomographyReport, PipelineError> {
-        if self.runs.is_empty() {
-            return Err(PipelineError::EmptyCampaign);
-        }
-        let n_runs = self.runs.len();
-        let backend = self.session.backend;
-        let seed = self.session.seed;
-        let truth = self.session.scenario.ground_truth.clone();
-        if self.points.iter().take(n_runs).any(Option::is_none) {
-            let mut acc = MetricAccumulator::new(self.acc.len());
-            for i in 0..n_runs {
-                let run = &self.runs[i];
-                acc.push_run_partial(&run.fragments, &run.participated());
-                if self.points[i].is_none() {
-                    let k = i + 1;
-                    let g = auto_metric_graph(&acc);
-                    let p = backend.infer_into(&g, splitmix64(seed ^ k as u64), &mut self.scratch);
-                    self.points[i] = Some(ConvergencePoint {
-                        iterations: k as u32,
-                        onmi: onmi_partitions(&p, &truth),
-                        nmi: nmi(&p, &truth),
-                        clusters: p.num_clusters(),
-                        modularity: modularity(&g, &p),
-                    });
-                }
-            }
-        }
-        let convergence: Vec<ConvergencePoint> =
-            self.points.into_iter().take(n_runs).map(|p| p.expect("all prefixes filled")).collect();
-        let g = auto_metric_graph(&self.acc);
-        let final_partition =
-            backend.infer_into(&g, splitmix64(seed ^ 0xFFFF_FFFF), &mut self.scratch);
-        let campaign = Campaign { runs: self.runs, metric: self.acc };
-        let reliability = ReliabilityReport::from_campaign(&campaign, &final_partition, &truth);
-        let degenerate = degenerate_partition(&final_partition);
-        let scenario = &self.session.scenario;
-        let diagnosis = inference_diagnosis(&g, &truth, &scenario.routes, &scenario.hosts);
-        Ok(TomographyReport {
-            scenario_id: scenario.id.clone(),
-            backend,
-            seed,
-            campaign,
-            convergence,
-            final_partition,
-            ground_truth: truth,
-            degenerate_partition: degenerate,
-            reliability,
-            diagnosis,
-        })
+    /// Convergence prefixes the cadence skipped are back-filled here by the
+    /// batch pipeline's own prefix-parallel fill, and the report is built
+    /// by its report assembly, so the finalized report is byte-identical to
+    /// `analyze()` on the equivalent campaign.
+    pub fn finalize(self) -> Result<TomographyReport, PipelineError> {
+        let LiveSession { session, runs, acc, mut points, .. } = self;
+        points.truncate(runs.len());
+        let campaign = Campaign { runs, metric: acc };
+        assemble_report(&session.scenario, campaign, points, session.backend, session.seed)
     }
 }
 
@@ -659,7 +601,7 @@ mod tests {
         let s = TomographySession::new(Dataset::GT)
             .iterations(5)
             .pieces(128)
-            .algorithm(ClusteringAlgorithm::Infomap)
+            .backend(ClusteringAlgorithm::Infomap)
             .root_policy(btt_swarm::broadcast::RootPolicy::RoundRobin);
         assert_eq!(s.iterations, 5);
         assert_eq!(s.cfg.num_pieces, 128);

@@ -2,13 +2,76 @@
 //! must reproduce the historical serial path bit-for-bit on the paper's
 //! Grid'5000 scenarios, and pruned-graph clustering must agree with dense
 //! clustering on those same scenarios.
+//!
+//! The serial path lives here, as a test oracle: [`convergence_series_serial`]
+//! re-aggregates every prefix from scratch and scores it with its own code,
+//! so it shares nothing with the pipeline's fill or scorer but the
+//! clustering algorithms themselves.
 
 use btt_core::pipeline::{
-    analyze, convergence_series, convergence_series_serial, metric_graph, sparse_metric_graph,
-    ClusteringAlgorithm, PipelineError, DEFAULT_PRUNE, SPARSE_NODE_THRESHOLD,
+    analyze, convergence_series, metric_graph, sparse_metric_graph, ClusteringAlgorithm,
+    PipelineError, DEFAULT_PRUNE, SPARSE_NODE_THRESHOLD,
 };
 use btt_core::prelude::*;
 use proptest::prelude::*;
+
+/// The pre-streaming reference implementation: re-aggregates the metric
+/// from scratch via [`Campaign::metric_after`] and clusters a dense graph
+/// for every prefix, serially — O(n²) aggregation work per series. The
+/// incremental parallel path must reproduce it bit-for-bit below
+/// [`SPARSE_NODE_THRESHOLD`] hosts.
+fn convergence_series_serial(
+    campaign: &Campaign,
+    ground_truth: &Partition,
+    backend: impl Into<Backend>,
+    seed: u64,
+) -> Vec<ConvergencePoint> {
+    let backend = backend.into();
+    (1..=campaign.runs.len())
+        .map(|k| {
+            let g = metric_graph(&campaign.metric_after(k));
+            let p = backend.infer(&g, btt_netsim::util::splitmix64(seed ^ k as u64));
+            ConvergencePoint {
+                iterations: k as u32,
+                onmi: onmi_partitions(&p, ground_truth),
+                nmi: nmi(&p, ground_truth),
+                clusters: p.num_clusters(),
+                modularity: modularity(&g, &p),
+            }
+        })
+        .collect()
+}
+
+/// A hand-built campaign over `n` hosts: `runs` identical-shape broadcasts
+/// in which each strong pair exchanges `10 + r` fragments in run `r`, over
+/// one weak background edge.
+fn fake_campaign(n: usize, runs: usize, strong_pairs: &[(usize, usize)]) -> Campaign {
+    let mut all = Vec::new();
+    for r in 0..runs {
+        let mut m = FragmentMatrix::new(n);
+        for &(a, b) in strong_pairs {
+            for _ in 0..(10 + r) {
+                m.record(a, b);
+            }
+        }
+        m.record(0, n - 1);
+        all.push(btt_swarm::swarm::RunOutcome {
+            fragments: m,
+            completion: vec![Some(0.0); n],
+            makespan: 1.0,
+            finished: true,
+            sim_steps: 10,
+            disrupted: vec![false; n],
+            departed: vec![false; n],
+            prof: Default::default(),
+        });
+    }
+    let mut metric = MetricAccumulator::new(n);
+    for r in &all {
+        metric.add(&r.fragments);
+    }
+    Campaign { runs: all, metric }
+}
 
 fn measured(dataset: Dataset, iterations: u32, pieces: u32, seed: u64) -> TomographySession {
     TomographySession::new(dataset).iterations(iterations).pieces(pieces).seed(seed)
@@ -33,6 +96,32 @@ fn streaming_series_is_bit_identical_to_serial_on_grid5000() {
             assert_eq!(fast.len(), iterations as usize);
         }
     }
+}
+
+#[test]
+fn streaming_series_matches_serial_reference() {
+    // The incremental parallel path must reproduce the from-scratch
+    // serial path exactly — same floats, same partitions — for every
+    // algorithm (below the sparsification threshold).
+    let c = fake_campaign(8, 6, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]);
+    let truth = Partition::from_assignments(&[0, 0, 0, 0, 1, 1, 1, 1]);
+    for alg in ClusteringAlgorithm::ALL {
+        let fast = convergence_series(&c, &truth, alg, 13);
+        let slow = convergence_series_serial(&c, &truth, alg, 13);
+        assert_eq!(fast, slow, "{}", alg.name());
+    }
+}
+
+#[test]
+fn streaming_series_matches_serial_across_chunk_boundaries() {
+    // 70 prefixes span three 32-prefix chunks of the parallel fill;
+    // chunked draining must not perturb a single float.
+    let c = fake_campaign(6, 70, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let truth = Partition::from_assignments(&[0, 0, 0, 1, 1, 1]);
+    let fast = convergence_series(&c, &truth, ClusteringAlgorithm::Louvain, 5);
+    let slow = convergence_series_serial(&c, &truth, ClusteringAlgorithm::Louvain, 5);
+    assert_eq!(fast.len(), 70);
+    assert_eq!(fast, slow);
 }
 
 /// The analyze() boundary surfaces empty campaigns as a typed error, and a

@@ -9,10 +9,14 @@
 //! [`DriveMode`]s, across re-cluster cadences, down to the serialized
 //! report text.
 
+use bittorrent_tomography::core::backend::Backend;
+use bittorrent_tomography::core::pipeline::analyze;
 use bittorrent_tomography::core::scenarios::ScenarioSpec;
 use bittorrent_tomography::core::serialize::ReportRecord;
 use bittorrent_tomography::core::session::TomographySession;
+use bittorrent_tomography::swarm::broadcast::Campaign;
 use bittorrent_tomography::swarm::config::{DriveMode, SwarmConfig};
+use bittorrent_tomography::swarm::metrics::MetricAccumulator;
 
 fn session(spec: &str, pieces: u32, iterations: u32, drive: DriveMode) -> TomographySession {
     let cfg = SwarmConfig { num_pieces: pieces, drive, ..SwarmConfig::default() };
@@ -61,6 +65,44 @@ fn recluster_cadence_does_not_change_the_report() {
         let streamed = render(&base.clone().recluster_every(cadence), true, 96);
         assert_eq!(batch, streamed, "cadence {cadence}");
     }
+    // 40 iterations: the back-filled prefixes straddle prefix 32, the
+    // parallel fill's chunk size. Cadence 5 leaves 32 gaps spread over the
+    // whole series; cadence 33 leaves prefixes 1..=32 and 34..=39.
+    let long = session(spec, 48, 40, DriveMode::EventDriven);
+    let batch = render(&long, false, 48);
+    for cadence in [5u32, 33] {
+        let streamed = render(&long.clone().recluster_every(cadence), true, 48);
+        assert_eq!(batch, streamed, "40 iterations, cadence {cadence}");
+    }
+}
+
+/// An early finalize back-fills the last observed prefix too: after 5 of 8
+/// observations at cadence 3 only prefix 3 was clustered live, and the
+/// report must equal `analyze()` on the 5-run campaign, byte for byte.
+#[test]
+fn early_finalize_matches_analyze_on_the_observed_prefix() {
+    let base = session("star:3x4:0.1:4+churn=0.2", 96, 8, DriveMode::EventDriven);
+    let session = base.recluster_every(3);
+    let mut observations = Vec::new();
+    session.stream_into(1, &mut |obs| observations.push(obs));
+    observations.truncate(5);
+
+    let mut live = session.live();
+    let mut metric = MetricAccumulator::new(session.scenario().num_hosts());
+    let mut runs = Vec::new();
+    for obs in observations {
+        metric.push_run_partial(&obs.outcome.fragments, &obs.outcome.participated());
+        runs.push(obs.outcome.clone());
+        live.observe(obs).expect("in-order observation");
+    }
+    let streamed = live.finalize().expect("five observations");
+    let batch = analyze(session.scenario(), Campaign { runs, metric }, Backend::default(), 2012)
+        .expect("five runs");
+    assert_eq!(streamed.convergence.len(), 5);
+    assert_eq!(
+        ReportRecord::new(&batch, 96).to_json().render_pretty(),
+        ReportRecord::new(&streamed, 96).to_json().render_pretty()
+    );
 }
 
 /// The equivalence holds across seeds and algorithms, not just the default
@@ -71,7 +113,7 @@ fn streamed_session_matches_batch_across_seeds_and_algorithms() {
     for seed in [7u64, 99] {
         for algorithm in [ClusteringAlgorithm::Louvain, ClusteringAlgorithm::LabelPropagation] {
             let session =
-                session("wan:2x4:0.4", 64, 3, DriveMode::FixedStep).seed(seed).algorithm(algorithm);
+                session("wan:2x4:0.4", 64, 3, DriveMode::FixedStep).seed(seed).backend(algorithm);
             let batch = render(&session, false, 64);
             let streamed = render(&session, true, 64);
             assert_eq!(batch, streamed, "seed {seed}, {algorithm:?}");
