@@ -172,7 +172,8 @@ pub struct JobSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence (optional, default 1 — every run).
     pub recluster_every: u32,
-    /// Measurement worker threads (optional, default 0 = auto, 1 = serial).
+    /// Measurement worker threads (optional, default 1 = serial, 0 = one per
+    /// CPU).
     /// A wall-clock knob only: the report is byte-identical for every value.
     pub threads: usize,
 }
@@ -243,7 +244,7 @@ impl JobSpec {
             }
         };
         let threads = match v.get("threads") {
-            None => 0,
+            None => 1,
             Some(j) => j
                 .as_u64()
                 .and_then(|u| usize::try_from(u).ok())
@@ -611,7 +612,7 @@ fn run_job(shared: Arc<Shared>, job: Arc<Job>) {
         state.status = JobStatus::Measuring;
         state.expected = expected;
     }
-    session.stream_into(1, &mut |obs| {
+    session.stream_into(&mut |obs| {
         // The session owns the heavy state; only the published copy is
         // behind the lock, so snapshot requests never wait on a broadcast.
         if live.observe(obs).is_err() {
@@ -802,32 +803,8 @@ mod tests {
         assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(pong.get("kind").and_then(Json::as_str), Some("pong"));
 
-        let sub =
-            client.request(&ServeClient::envelope("submit", vec![("job", small_job())])).unwrap();
-        assert_eq!(sub.get("ok").and_then(Json::as_bool), Some(true), "{sub:?}");
-        let job_id = sub.get("job_id").and_then(Json::as_u64).unwrap();
-
-        // Poll to completion (a 6-host 48-piece job takes well under a
-        // second; the loop bound only guards against a hung daemon).
-        let mut state = String::new();
-        for _ in 0..2000 {
-            let status = client
-                .request(&ServeClient::envelope("status", vec![("job_id", Json::UInt(job_id))]))
-                .unwrap();
-            state = status.get("state").and_then(Json::as_str).unwrap().to_string();
-            if state == "complete" || state == "failed" {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(state, "complete");
-
-        let report = client
-            .request(&ServeClient::envelope("report", vec![("job_id", Json::UInt(job_id))]))
-            .unwrap();
-        let record = ReportRecord::from_json(report.get("report").unwrap()).unwrap();
-        assert_eq!(record.convergence.len(), 2);
-        // The daemon's record equals the batch pipeline's for the same spec.
+        // The daemon's record equals the batch pipeline's for the same spec,
+        // on the default serial path and on a two-worker measurement pool.
         let batch = crate::campaign::RunSpec {
             scenario: ScenarioSpec::parse("star:2x3:0.2:3").unwrap(),
             backend: Backend::default(),
@@ -837,12 +814,42 @@ mod tests {
             threads: 0,
         }
         .run();
-        assert_eq!(record, batch, "served report is byte-identical to the batch path");
+        let mut pooled = small_job();
+        if let Json::Object(fields) = &mut pooled {
+            fields.push(("threads".to_string(), Json::UInt(2)));
+        }
+        for job in [small_job(), pooled] {
+            let sub = client.request(&ServeClient::envelope("submit", vec![("job", job)])).unwrap();
+            assert_eq!(sub.get("ok").and_then(Json::as_bool), Some(true), "{sub:?}");
+            let job_id = sub.get("job_id").and_then(Json::as_u64).unwrap();
+
+            // Poll to completion (a 6-host 48-piece job takes well under a
+            // second; the loop bound only guards against a hung daemon).
+            let mut state = String::new();
+            for _ in 0..2000 {
+                let status = client
+                    .request(&ServeClient::envelope("status", vec![("job_id", Json::UInt(job_id))]))
+                    .unwrap();
+                state = status.get("state").and_then(Json::as_str).unwrap().to_string();
+                if state == "complete" || state == "failed" {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            assert_eq!(state, "complete");
+
+            let report = client
+                .request(&ServeClient::envelope("report", vec![("job_id", Json::UInt(job_id))]))
+                .unwrap();
+            let record = ReportRecord::from_json(report.get("report").unwrap()).unwrap();
+            assert_eq!(record.convergence.len(), 2);
+            assert_eq!(record, batch, "served report is byte-identical to the batch path");
+        }
 
         let down = client.request(&ServeClient::envelope("shutdown", vec![])).unwrap();
         assert_eq!(down.get("ok").and_then(Json::as_bool), Some(true));
         let stats = server.wait().unwrap();
-        assert_eq!(stats, ServeStats { submitted: 1, completed: 1, failed: 0 });
+        assert_eq!(stats, ServeStats { submitted: 2, completed: 2, failed: 0 });
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct StressSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence.
     pub recluster_every: u32,
-    /// Measurement worker threads per job (0 = auto, 1 = serial).
+    /// Measurement worker threads per job (1 = serial, 0 = one per CPU).
     pub threads: usize,
     /// Delay between status/snapshot polls per in-flight job.
     pub poll: Duration,
@@ -54,7 +54,7 @@ impl Default for StressSpec {
             iterations: Some(3),
             pieces: 64,
             recluster_every: 1,
-            threads: 0,
+            threads: 1,
             poll: Duration::from_millis(10),
             shutdown: false,
         }

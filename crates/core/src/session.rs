@@ -211,12 +211,12 @@ impl TomographySession {
         }
     }
 
-    /// Runs phase 1 as a completion-driven stream: broadcasts execute
-    /// `chunk` at a time (0 = all at once) and each finished run is handed
+    /// Runs phase 1 as a completion-driven stream: broadcasts execute on the
+    /// session's `threads` measurement pool and each finished run is handed
     /// to `sink` in iteration order. This is the measurement side of the
     /// inverted control flow; feed the observations to
     /// [`LiveSession::observe`] to infer while measuring.
-    pub fn stream_into(&self, chunk: usize, sink: &mut dyn FnMut(RunObservation)) {
+    pub fn stream_into(&self, sink: &mut dyn FnMut(RunObservation)) {
         stream_campaign_with_reliability(
             &self.scenario.routes,
             &self.scenario.hosts,
@@ -225,20 +225,18 @@ impl TomographySession {
             self.root_policy,
             self.seed,
             &self.scenario.reliability,
-            chunk,
             self.threads,
             sink,
         );
     }
 
     /// Runs the whole session through the streaming layer: measurement
-    /// events feed a [`LiveSession`] one at a time (`chunk == 1`, the
-    /// maximally-incremental schedule) and the result is finalized into a
-    /// report. Byte-identical to [`TomographySession::run`] for every seed
+    /// events feed a [`LiveSession`] one at a time, in iteration order, and
+    /// the result is finalized into a report. Byte-identical to [`TomographySession::run`] for every seed
     /// and cadence — the equivalence the streaming refactor is pinned by.
     pub fn run_streamed(&self) -> TomographyReport {
         let mut live = self.live();
-        self.stream_into(1, &mut |obs| {
+        self.stream_into(&mut |obs| {
             live.observe(obs).expect("in-order stream observations always apply");
         });
         live.finalize().expect("session campaigns hold at least one iteration")
@@ -526,7 +524,7 @@ mod tests {
         assert!(live.current_best().is_none(), "no snapshot before the first cadence boundary");
 
         let mut observations = Vec::new();
-        session.stream_into(1, &mut |obs| observations.push(obs));
+        session.stream_into(&mut |obs| observations.push(obs));
         assert_eq!(observations.len(), 3);
 
         live.observe(observations[0].clone()).unwrap();
@@ -564,7 +562,7 @@ mod tests {
     fn live_session_rejects_malformed_observations() {
         let session = TomographySession::new(Dataset::Small2x2).iterations(2).pieces(48).seed(8);
         let mut observations = Vec::new();
-        session.stream_into(0, &mut |obs| observations.push(obs));
+        session.stream_into(&mut |obs| observations.push(obs));
 
         // Out of order: iteration 1 before iteration 0.
         let mut live = session.live();
@@ -580,7 +578,7 @@ mod tests {
         .pieces(48)
         .seed(8);
         let mut foreign = Vec::new();
-        foreign_session.stream_into(0, &mut |obs| foreign.push(obs));
+        foreign_session.stream_into(&mut |obs| foreign.push(obs));
         let err = live.observe(foreign[0].clone()).unwrap_err();
         let got = foreign_session.scenario().num_hosts();
         assert_eq!(err, SessionError::WrongHostCount { got, expected: 4 });

@@ -481,15 +481,6 @@ impl SimNet {
         p
     }
 
-    /// Forwards to [`IncrementalMaxMin::set_parallel`]: `Some(true)` forces
-    /// the component-parallel water-fill, `Some(false)` forces serial,
-    /// `None` restores auto (the `BTT_PARALLEL_SOLVER` environment variable
-    /// sets the same switch at construction). Rates are bit-identical either
-    /// way.
-    pub fn set_parallel_solver(&mut self, mode: Option<bool>) {
-        self.core.get_mut().solver.set_parallel(mode);
-    }
-
     /// Starts a flow from `src` to `dst`.
     ///
     /// `bytes = Some(n)` makes a bounded flow that completes after `n` bytes

@@ -35,7 +35,8 @@ pub struct SolverProf {
     /// Water-fill rounds: freeze events (a channel saturating or a flow
     /// capping) processed by the filling loop.
     pub waterfill_rounds: u64,
-    /// Resolves that dispatched components to the parallel water-fill path.
+    /// Always 0 since the solver is serial; kept for the benchmark trace and
+    /// `btt-engine-bench-v2`.
     pub parallel_resolves: u64,
 }
 

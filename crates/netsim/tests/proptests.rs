@@ -241,78 +241,6 @@ proptest! {
         }
     }
 
-    /// The component-parallel water-fill is *bit-identical* to the serial
-    /// path — not merely within tolerance — under random insert/remove
-    /// churn with mixed per-flow caps and interleaved resolves. Components
-    /// are filled in per-component arenas and merged in component-id order,
-    /// so the float operations (and hence every rounding decision) are the
-    /// same in both modes; this is the determinism argument that lets
-    /// `BTT_PARALLEL_SOLVER` flip mid-campaign without forking goldens.
-    #[test]
-    fn parallel_solver_is_bit_identical_to_serial(
-        clusters in 2usize..4,
-        hosts_per in 2usize..5,
-        trunk in 100f64..1500.0,
-        ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 4..40),
-        cap_mbps in proptest::option::of(50f64..400.0),
-    ) {
-        let topo = two_tier(clusters, hosts_per, 890.0, trunk);
-        let rt = RouteTable::new(topo.clone());
-        let hosts = topo.hosts().to_vec();
-        let caps = topo.channel_capacities();
-        let cap = cap_mbps.map(|m| Bandwidth::from_mbps(m).bytes_per_sec());
-
-        let mut serial = IncrementalMaxMin::new(caps.clone());
-        serial.set_parallel(Some(false));
-        let mut parallel = IncrementalMaxMin::new(caps);
-        parallel.set_parallel(Some(true));
-
-        let mut live: Vec<u64> = Vec::new();
-        let mut next_id = 0u64;
-        for (pick, remove) in ops {
-            if remove && !live.is_empty() {
-                let id = live.remove(pick as usize % live.len());
-                serial.remove(id);
-                parallel.remove(id);
-            } else {
-                let a = hosts[pick as usize % hosts.len()];
-                let b = hosts[(pick as usize / 7 + 1) % hosts.len()];
-                if a == b {
-                    continue;
-                }
-                let route = rt.route(a, b);
-                serial.insert(next_id, &route, cap);
-                parallel.insert(next_id, &route, cap);
-                live.push(next_id);
-                next_id += 1;
-            }
-            // Resolve half the time so dirty sets of both shapes (one
-            // component, many components) hit the parallel dispatch.
-            if pick % 2 == 0 {
-                serial.resolve();
-                parallel.resolve();
-                for &id in &live {
-                    prop_assert_eq!(
-                        serial.rate(id).to_bits(),
-                        parallel.rate(id).to_bits(),
-                        "flow {} diverged after mid-churn resolve: {} vs {}",
-                        id, serial.rate(id), parallel.rate(id)
-                    );
-                }
-            }
-        }
-        serial.resolve();
-        parallel.resolve();
-        for &id in &live {
-            prop_assert_eq!(
-                serial.rate(id).to_bits(),
-                parallel.rate(id).to_bits(),
-                "flow {} diverged at the final resolve: {} vs {}",
-                id, serial.rate(id), parallel.rate(id)
-            );
-        }
-    }
-
     /// Engine determinism under mid-broadcast flow teardown: a random
     /// script that advances to random event times and force-stops random
     /// flows there (individually and via whole-host failure, the crash

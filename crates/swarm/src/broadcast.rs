@@ -208,7 +208,7 @@ struct Reorder<T> {
     slots: BTreeMap<u32, T>,
 }
 
-/// Runs `produce(k)` for every `k` in `start..end` on a bounded
+/// Runs `produce(k)` for every `k` in `0..end` on a bounded
 /// work-stealing pool of `workers` threads and hands each result to `emit`
 /// **in strict `k` order** on the calling thread.
 ///
@@ -219,18 +219,17 @@ struct Reorder<T> {
 /// blocks until the emitter catches up, except for the one holding the
 /// next-needed index, which always inserts (no deadlock).
 fn pool_run_ordered<T: Send>(
-    start: u32,
     end: u32,
     workers: usize,
     produce: &(dyn Fn(u32) -> T + Sync),
     emit: &mut dyn FnMut(T),
 ) {
     let bound = 2 * workers;
-    let cursor = AtomicU32::new(start);
-    let shared = Mutex::new(Reorder { next: start, slots: BTreeMap::new() });
+    let cursor = AtomicU32::new(0);
+    let shared = Mutex::new(Reorder { next: 0, slots: BTreeMap::new() });
     let ready = Condvar::new();
     std::thread::scope(|scope| {
-        for _ in 0..workers.min((end - start) as usize) {
+        for _ in 0..workers.min(end as usize) {
             scope.spawn(|| loop {
                 let k = cursor.fetch_add(1, Ordering::SeqCst);
                 if k >= end {
@@ -269,13 +268,12 @@ fn pool_run_ordered<T: Send>(
 /// each one to `sink` as a [`RunObservation`] instead of returning a finished
 /// [`Campaign`]. This is the streaming entry point the session layer consumes.
 ///
-/// Iterations are executed in parallel `chunk` at a time (`chunk == 0` means
-/// all at once — the classic batch schedule) on `threads` pool workers
-/// (`0` = one per CPU, `1` = today's serial path; see [`resolve_threads`]),
-/// but observations are **always emitted in iteration order** through a
-/// reorder buffer: each run is a pure function of its derived seed, so chunk
-/// size and thread count change latency, never content, and an in-order fold
-/// of the observations reproduces the batch metric bit for bit.
+/// Iterations run on `threads` pool workers (`0` = one per CPU, `1` = the
+/// serial path; see [`resolve_threads`]), but observations are **always
+/// emitted in iteration order** through a reorder buffer that releases each
+/// run as soon as it is next in line: each run is a pure function of its
+/// derived seed, so the thread count changes latency, never content, and an
+/// in-order fold of the observations reproduces the batch metric bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_campaign_with_reliability(
     routes: &Arc<RouteTable>,
@@ -285,7 +283,6 @@ pub fn stream_campaign_with_reliability(
     root_policy: RootPolicy,
     base_seed: u64,
     reliability: &ReliabilityCfg,
-    chunk: usize,
     threads: usize,
     sink: &mut dyn FnMut(RunObservation),
 ) {
@@ -308,18 +305,12 @@ pub fn stream_campaign_with_reliability(
         RunObservation { iteration: k, root, seed, outcome }
     };
     let workers = resolve_threads(threads);
-    let chunk = if chunk == 0 { (iterations as usize).max(1) } else { chunk };
-    let mut start = 0u32;
-    while start < iterations {
-        let end = iterations.min(start + chunk as u32);
-        if workers <= 1 || end - start <= 1 {
-            for k in start..end {
-                sink(run_one(k));
-            }
-        } else {
-            pool_run_ordered(start, end, workers, &run_one, &mut |obs| sink(obs));
+    if workers <= 1 || iterations <= 1 {
+        for k in 0..iterations {
+            sink(run_one(k));
         }
-        start = end;
+    } else {
+        pool_run_ordered(iterations, workers, &run_one, sink);
     }
 }
 
@@ -354,7 +345,6 @@ pub fn run_campaign_with_reliability(
         root_policy,
         base_seed,
         reliability,
-        0,
         threads,
         &mut |obs| {
             metric.push_run_partial(&obs.outcome.fragments, &obs.outcome.participated());
@@ -495,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_is_chunk_invariant_and_matches_batch() {
+    fn stream_matches_batch_at_any_thread_count() {
         let (routes, hosts) = star(8);
         let rel = ReliabilityCfg { churn: 0.3, ..ReliabilityCfg::default() };
         let batch = run_campaign_with_reliability(
@@ -508,7 +498,7 @@ mod tests {
             &rel,
             0,
         );
-        for chunk in [1usize, 2, 0] {
+        for threads in [1usize, 2, 0] {
             let mut obs = Vec::new();
             stream_campaign_with_reliability(
                 &routes,
@@ -518,11 +508,10 @@ mod tests {
                 RootPolicy::RoundRobin,
                 7,
                 &rel,
-                chunk,
-                0,
+                threads,
                 &mut |o| obs.push(o),
             );
-            assert_eq!(obs.len(), 5, "chunk {chunk}");
+            assert_eq!(obs.len(), 5, "threads {threads}");
             // Emitted strictly in iteration order, with batch-identical
             // metadata and per-run content.
             for (k, o) in obs.iter().enumerate() {
@@ -538,7 +527,7 @@ mod tests {
             for o in &obs {
                 acc.push_run_partial(&o.outcome.fragments, &o.outcome.participated());
             }
-            assert_eq!(acc, batch.metric, "chunk {chunk}");
+            assert_eq!(acc, batch.metric, "threads {threads}");
         }
     }
 
@@ -546,7 +535,7 @@ mod tests {
     fn stream_is_thread_count_invariant() {
         let (routes, hosts) = star(8);
         let rel = ReliabilityCfg { churn: 0.25, xtraffic: 0.2, ..ReliabilityCfg::default() };
-        let collect = |threads: usize, chunk: usize| {
+        let collect = |threads: usize| {
             let mut obs = Vec::new();
             stream_campaign_with_reliability(
                 &routes,
@@ -556,31 +545,28 @@ mod tests {
                 RootPolicy::RoundRobin,
                 2012,
                 &rel,
-                chunk,
                 threads,
                 &mut |o| obs.push(o),
             );
             obs
         };
-        let serial = collect(1, 0);
+        let serial = collect(1);
         assert_eq!(serial.len(), 6);
         for threads in [2usize, 4, 0] {
-            for chunk in [0usize, 3] {
-                let pooled = collect(threads, chunk);
-                assert_eq!(pooled.len(), serial.len(), "threads {threads} chunk {chunk}");
-                for (a, b) in serial.iter().zip(&pooled) {
-                    assert_eq!(a.iteration, b.iteration, "in-order emission");
-                    assert_eq!(a.seed, b.seed);
-                    assert_eq!(a.root, b.root);
-                    assert_eq!(a.outcome.fragments, b.outcome.fragments);
-                    assert_eq!(a.outcome.completion, b.outcome.completion);
-                    assert_eq!(a.outcome.disrupted, b.outcome.disrupted);
-                    assert_eq!(
-                        a.outcome.makespan.to_bits(),
-                        b.outcome.makespan.to_bits(),
-                        "bit-identical makespan at threads {threads}"
-                    );
-                }
+            let pooled = collect(threads);
+            assert_eq!(pooled.len(), serial.len(), "threads {threads}");
+            for (a, b) in serial.iter().zip(&pooled) {
+                assert_eq!(a.iteration, b.iteration, "in-order emission");
+                assert_eq!(a.seed, b.seed);
+                assert_eq!(a.root, b.root);
+                assert_eq!(a.outcome.fragments, b.outcome.fragments);
+                assert_eq!(a.outcome.completion, b.outcome.completion);
+                assert_eq!(a.outcome.disrupted, b.outcome.disrupted);
+                assert_eq!(
+                    a.outcome.makespan.to_bits(),
+                    b.outcome.makespan.to_bits(),
+                    "bit-identical makespan at threads {threads}"
+                );
             }
         }
     }
@@ -591,7 +577,7 @@ mod tests {
         // 2 x workers) must still emit 0..n in exact order, once each.
         let produce = |k: u32| k * 3;
         let mut seen = Vec::new();
-        pool_run_ordered(0, 500, 8, &produce, &mut |v| seen.push(v));
+        pool_run_ordered(500, 8, &produce, &mut |v| seen.push(v));
         assert_eq!(seen.len(), 500);
         for (i, v) in seen.iter().enumerate() {
             assert_eq!(*v, i as u32 * 3);

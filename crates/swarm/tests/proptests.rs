@@ -161,7 +161,7 @@ proptest! {
         }
     }
 
-    /// Campaign determinism under arbitrary seeds (rayon-parallel execution
+    /// Campaign determinism under arbitrary seeds (pool-parallel execution
     /// must not leak scheduling nondeterminism into results).
     #[test]
     fn campaigns_reproduce_bitwise(seed in any::<u64>()) {

@@ -73,15 +73,14 @@ proptest! {
     // Each case runs two full mini-campaigns; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fuzzing the scheduling surface: arbitrary worker counts, chunk
-    /// sizes, seeds, and reliability perturbations never move the report
-    /// off the single-threaded all-at-once reference. `chunk` and
-    /// `threads` only reshape *when* broadcasts execute; the reorder
-    /// buffer guarantees the fold never sees a difference.
+    /// Fuzzing the scheduling surface: arbitrary worker counts, seeds, and
+    /// reliability perturbations never move the report off the
+    /// single-threaded reference. `threads` only reshapes *when* broadcasts
+    /// execute; the reorder buffer guarantees the fold never sees a
+    /// difference.
     #[test]
     fn scheduling_knobs_never_move_the_report(
         threads in 0usize..6,
-        chunk in 0usize..4,
         seed in any::<u64>(),
         churn in 0.0f64..0.3,
         degrade in 0.0f64..0.3,
@@ -91,14 +90,14 @@ proptest! {
         let reference = render(&base.clone().threads(1), false);
         // Pooled batch path.
         prop_assert_eq!(&render(&base.clone().threads(threads), false), &reference);
-        // Pooled streaming path at the drawn chunking.
+        // Pooled streaming path.
         let streamed = base.clone().threads(threads);
         let mut live = streamed.live();
-        streamed.stream_into(chunk, &mut |obs| {
+        streamed.stream_into(&mut |obs| {
             live.observe(obs).expect("in-order stream observations always apply");
         });
         let report = live.finalize().expect("campaign holds iterations");
         let rendered = ReportRecord::new(&report, PIECES).to_json().render_pretty();
-        prop_assert_eq!(&rendered, &reference, "chunk {} threads {}", chunk, threads);
+        prop_assert_eq!(&rendered, &reference, "threads {}", threads);
     }
 }

@@ -84,7 +84,7 @@ fn early_finalize_matches_analyze_on_the_observed_prefix() {
     let base = session("star:3x4:0.1:4+churn=0.2", 96, 8, DriveMode::EventDriven);
     let session = base.recluster_every(3);
     let mut observations = Vec::new();
-    session.stream_into(1, &mut |obs| observations.push(obs));
+    session.stream_into(&mut |obs| observations.push(obs));
     observations.truncate(5);
 
     let mut live = session.live();
