@@ -1,14 +1,15 @@
 //! Ablations over the design choices DESIGN.md calls out: clustering
 //! algorithm (§III-D), piece-selection policy, root rotation (§II-C), and
-//! robustness under background load (§I).
+//! robustness under competing load (§I), which bystander streams put on the
+//! measured hosts' access links through a perturbation schedule.
 
 use crate::ctx::text_table;
 use crate::ReproCtx;
 use btt_core::dataset::Dataset;
 use btt_core::prelude::*;
 use btt_netsim::grid5000::Grid5000;
+use btt_netsim::perturb::{Perturbation, PerturbationSchedule, TimedPerturbation};
 use btt_netsim::routing::RouteTable;
-use btt_netsim::traffic::{BackgroundTraffic, TrafficConfig};
 use btt_netsim::util::seed_for_iteration;
 use btt_swarm::swarm::Swarm;
 use std::sync::Arc;
@@ -150,8 +151,10 @@ pub fn ablation_root(ctx: &mut ReproCtx) {
 }
 
 /// §I: the method targets *highly utilized* networks. Re-run the two-site
-/// experiment while bystander hosts saturate random pairs; cluster recovery
-/// should survive.
+/// experiment while every measured leecher receives one competing bulk
+/// stream for the whole broadcast, sent by a bystander on its own site, so
+/// the load shares each leecher's access link with the broadcast. Cluster
+/// recovery should survive; broadcasts should slow down.
 pub fn ablation_load(ctx: &mut ReproCtx) {
     // 40 hosts per site: 32 measured, 8 bystanders generating load.
     let grid = Grid5000::builder().flat_site("grenoble", 40).flat_site("toulouse", 40).build();
@@ -166,27 +169,31 @@ pub fn ablation_load(ctx: &mut ReproCtx) {
     let cfg = SwarmConfig { num_pieces: ctx.effective_pieces(), ..SwarmConfig::default() };
     let iters = ctx.effective_iterations(Dataset::GT).min(10);
 
-    let run_variant = |label: &str, load: Option<TrafficConfig>| {
+    // Leecher `i` (the root, index 0, is skipped) gets its stream from one of
+    // its site's 8 bystanders; which one rotates with the iteration `k`.
+    let bystander_load = |k: usize| {
+        let events = (1..hosts.len())
+            .map(|i| {
+                let src = bystanders[i / 32 * 8 + (i + k) % 8];
+                let what = Perturbation::XTrafficStart { src, dst: hosts[i], key: i as u32 };
+                TimedPerturbation { at: 0.0, what }
+            })
+            .collect();
+        PerturbationSchedule::new(events)
+    };
+
+    let run_variant = |label: &str, loaded: bool| {
         let mut runs = Vec::new();
+        let mut metric = MetricAccumulator::new(hosts.len());
         for k in 0..iters {
             let seed = seed_for_iteration(ctx.seed, k as u64);
-            let swarm = Swarm::new(routes.clone(), &hosts, 0, cfg.clone(), seed);
-            let outcome = match &load {
-                Some(tc) => {
-                    let mut bg = BackgroundTraffic::new(
-                        &bystanders,
-                        tc.clone(),
-                        seed_for_iteration(ctx.seed ^ 0xB6, k as u64),
-                    );
-                    swarm.run_with(&mut |net| bg.tick(net))
-                }
-                None => swarm.run(),
-            };
+            let mut swarm = Swarm::new(routes.clone(), &hosts, 0, cfg.clone(), seed);
+            if loaded {
+                swarm = swarm.with_perturbations(bystander_load(k as usize));
+            }
+            let outcome = swarm.run();
+            metric.push_run(&outcome.fragments);
             runs.push(outcome);
-        }
-        let mut metric = MetricAccumulator::new(hosts.len());
-        for r in &runs {
-            metric.add(&r.fragments);
         }
         let campaign = Campaign { runs, metric };
         let series = convergence_series(&campaign, &truth, ClusteringAlgorithm::Louvain, ctx.seed);
@@ -201,9 +208,8 @@ pub fn ablation_load(ctx: &mut ReproCtx) {
         (conv, final_onmi, mean_makespan)
     };
 
-    let quiet = run_variant("quiet", None);
-    let loaded =
-        run_variant("loaded", Some(TrafficConfig { mean_on: 20.0, mean_off: 0.5, pairs: 8 }));
+    let quiet = run_variant("quiet", false);
+    let loaded = run_variant("loaded", true);
     println!(
         "shape target: clustering survives load (final oNMI 1.0 both), broadcasts slow down \
          under load (makespan {:.2} -> {:.2}).",
@@ -309,7 +315,7 @@ pub fn ablation_dynamic(ctx: &mut ReproCtx) {
         } else {
             run_broadcast(&flat_routes, &flat_hosts, 0, &cfg, seed)
         };
-        cumulative.add(&out.fragments);
+        cumulative.push_run(&out.fragments);
         windowed.push(&out.fragments);
 
         // Score both views against the *current* truth after the change.

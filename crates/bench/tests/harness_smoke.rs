@@ -37,11 +37,25 @@ fn figure_experiments_run_at_tiny_scale() {
 #[test]
 fn scaling_and_ablations_run_at_tiny_scale() {
     let (mut ctx, dir) = tiny_ctx("abl");
-    for id in ["scaling-size", "ablation-infomap", "ablation-hierarchy", "ablation-dynamic"] {
+    for id in [
+        "scaling-size",
+        "ablation-infomap",
+        "ablation-hierarchy",
+        "ablation-dynamic",
+        "ablation-load",
+    ] {
         assert!(run(&mut ctx, id), "unknown experiment {id}");
     }
     assert!(dir.join("ablation_hierarchy.csv").exists());
     assert!(dir.join("ablation_dynamic.csv").exists());
+    // Bystander streams share the leechers' access links, so the loaded
+    // broadcasts must be slower than the quiet ones.
+    let load = std::fs::read_to_string(dir.join("ablation_load.csv")).expect("artifact exists");
+    let makespan = |variant: &str| -> f64 {
+        let row = load.lines().find(|l| l.starts_with(&format!("{variant},"))).expect("row");
+        row.rsplit(',').next().unwrap().parse().expect("mean_makespan")
+    };
+    assert!(makespan("loaded") > makespan("quiet"), "loaded broadcasts should be slower:\n{load}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -68,7 +68,7 @@ fn fake_campaign(n: usize, runs: usize, strong_pairs: &[(usize, usize)]) -> Camp
     }
     let mut metric = MetricAccumulator::new(n);
     for r in &all {
-        metric.add(&r.fragments);
+        metric.push_run(&r.fragments);
     }
     Campaign { runs: all, metric }
 }

@@ -15,7 +15,6 @@
 //!   used for exactly this purpose;
 //! * [`engine`] — [`SimNet`](engine::SimNet): bounded flows and open streams
 //!   advanced over a virtual clock, with event-accurate completions;
-//! * [`traffic`] — on/off background load for robustness experiments;
 //! * [`perturb`] — deterministic reliability schedules (host churn, link
 //!   degradation, seeded cross-traffic) applied at exact clock instants.
 //!
@@ -52,7 +51,6 @@ pub mod prof;
 pub mod routing;
 pub mod synthetic;
 pub mod topology;
-pub mod traffic;
 pub mod units;
 pub mod util;
 

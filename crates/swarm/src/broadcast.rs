@@ -12,9 +12,7 @@
 use crate::config::SwarmConfig;
 use crate::metrics::MetricAccumulator;
 use crate::swarm::{RunOutcome, Swarm};
-use btt_netsim::perturb::{
-    generate_schedule, horizon_estimate, PerturbationSchedule, ReliabilityCfg,
-};
+use btt_netsim::perturb::{generate_schedule, horizon_estimate, ReliabilityCfg};
 use btt_netsim::routing::RouteTable;
 use btt_netsim::topology::NodeId;
 use btt_netsim::util::seed_for_iteration;
@@ -70,19 +68,6 @@ pub fn run_broadcast(
     seed: u64,
 ) -> BroadcastResult {
     Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed).run()
-}
-
-/// Like [`run_broadcast`] with a reliability perturbation schedule attached
-/// (host churn, link degradation, cross-traffic).
-pub fn run_broadcast_perturbed(
-    routes: &Arc<RouteTable>,
-    hosts: &[NodeId],
-    root: usize,
-    cfg: &SwarmConfig,
-    seed: u64,
-    schedule: PerturbationSchedule,
-) -> BroadcastResult {
-    Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed).with_perturbations(schedule).run()
 }
 
 /// A full measurement campaign: per-iteration outcomes plus the aggregated
@@ -224,12 +209,15 @@ fn pool_run_ordered<T: Send>(
     produce: &(dyn Fn(u32) -> T + Sync),
     emit: &mut dyn FnMut(T),
 ) {
+    // Clamp the width to the work first: an unchecked `threads` value
+    // (any u64 from a job spec) must not overflow the buffer bound.
+    let workers = workers.min(end as usize);
     let bound = 2 * workers;
     let cursor = AtomicU32::new(0);
     let shared = Mutex::new(Reorder { next: 0, slots: BTreeMap::new() });
     let ready = Condvar::new();
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(end as usize) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let k = cursor.fetch_add(1, Ordering::SeqCst);
                 if k >= end {
@@ -295,13 +283,13 @@ pub fn stream_campaign_with_reliability(
     let run_one = |k: u32| {
         let seed = seed_for_iteration(base_seed, k as u64);
         let root = root_policy.root_for(k, hosts.len(), base_seed);
-        let outcome = if reliability.is_off() {
-            run_broadcast(routes, hosts, root, cfg, seed)
-        } else {
+        let mut swarm = Swarm::new(routes.clone(), hosts, root, cfg.clone(), seed);
+        if !reliability.is_off() {
             let schedule =
                 generate_schedule(routes.topology(), hosts, root, reliability, horizon, seed);
-            run_broadcast_perturbed(routes, hosts, root, cfg, seed, schedule)
-        };
+            swarm = swarm.with_perturbations(schedule);
+        }
+        let outcome = swarm.run();
         RunObservation { iteration: k, root, seed, outcome }
     };
     let workers = resolve_threads(threads);
@@ -582,6 +570,13 @@ mod tests {
         for (i, v) in seen.iter().enumerate() {
             assert_eq!(*v, i as u32 * 3);
         }
+    }
+
+    #[test]
+    fn pool_clamps_an_oversized_width_to_the_work() {
+        let mut seen = Vec::new();
+        pool_run_ordered(3, usize::MAX, &|k| k, &mut |v| seen.push(v));
+        assert_eq!(seen, [0, 1, 2]);
     }
 
     #[test]

@@ -17,10 +17,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// * `EventDriven` jumps the clock straight from event to event (the fast
 ///   path, and the default);
-/// * `FixedStep` caps every advance at [`SwarmConfig::step`] seconds, which
-///   is required when an external per-step hook injects traffic
-///   ([`Swarm::run_with`](crate::swarm::Swarm::run_with) forces it) and is
-///   what the engine-equivalence tests compare against.
+/// * `FixedStep` caps every advance at [`SwarmConfig::step`] seconds; it is
+///   the pacing reference the engine-equivalence tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DriveMode {
     /// Jump from completion to completion (default).
@@ -66,7 +64,8 @@ pub struct SwarmConfig {
     pub rate_window: f64,
     /// Pacing cap for [`DriveMode::FixedStep`] (seconds). Protocol actions
     /// are event-timed in both modes; this only bounds how far a single
-    /// fixed-step slice may advance (e.g. between traffic-hook invocations).
+    /// fixed-step slice (and each [`Swarm::step`](crate::swarm::Swarm::step))
+    /// may advance.
     pub step: f64,
     /// How runs advance time (see [`DriveMode`]).
     pub drive: DriveMode,

@@ -226,12 +226,6 @@ impl MetricAccumulator {
         self.iterations
     }
 
-    /// Adds one broadcast's fragment matrix. Alias of
-    /// [`MetricAccumulator::push_run`], kept for existing callers.
-    pub fn add(&mut self, m: &FragmentMatrix) {
-        self.push_run(m);
-    }
-
     /// Streams one broadcast run into the accumulator.
     ///
     /// Folds only the run's sparse support — O(nnz log nnz) per push for a
@@ -456,7 +450,7 @@ impl WindowedMetric {
     pub fn snapshot(&self) -> MetricAccumulator {
         let mut acc = MetricAccumulator::new(self.n);
         for m in &self.matrices {
-            acc.add(m);
+            acc.push_run(m);
         }
         acc
     }
@@ -491,8 +485,8 @@ mod tests {
         for _ in 0..3 {
             m2.record(1, 0); // edge(0,1) = 3
         }
-        acc.add(&m1);
-        acc.add(&m2);
+        acc.push_run(&m1);
+        acc.push_run(&m2);
         assert_eq!(acc.iterations(), 2);
         assert!((acc.w(0, 1) - 2.0).abs() < 1e-12);
         assert!((acc.w(1, 0) - 2.0).abs() < 1e-12);
@@ -505,7 +499,7 @@ mod tests {
         let mut m = FragmentMatrix::new(4);
         m.record(2, 3);
         m.record(0, 1);
-        acc.add(&m);
+        acc.push_run(&m);
         let edges = acc.edges();
         assert_eq!(edges, vec![(0, 1, 1.0), (2, 3, 1.0)]);
     }
@@ -659,7 +653,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn size_mismatch_panics() {
         let mut acc = MetricAccumulator::new(3);
-        acc.add(&FragmentMatrix::new(4));
+        acc.push_run(&FragmentMatrix::new(4));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! Because the engine's state is invariant to how time is sliced and all
 //! protocol actions are keyed to event instants, a fixed-step paced run
 //! ([`crate::config::DriveMode::FixedStep`]) produces **bit-identical**
-//! results — that equivalence is pinned by `tests/equivalence.rs`.
+//! results — that equivalence is pinned by `tests/engine_equivalence.rs`.
 
 use crate::bitfield::Bitfield;
 use crate::config::{DriveMode, SwarmConfig};
@@ -181,9 +181,6 @@ pub struct Swarm {
     have_queue: Vec<(u32, u32)>,
     /// Peers whose dormant pairs should be retried (candidate sets grew).
     retry_queue: Vec<u32>,
-    /// Next simulated instant the external traffic hook is due (hooks are
-    /// contracted to run once per `step` of simulated time, not per event).
-    next_hook: f64,
     /// Live leechers that have not finished downloading yet.
     incomplete: usize,
     /// Currently-crashed incomplete leechers with a scheduled revival — the
@@ -420,7 +417,6 @@ impl Swarm {
             status,
             have_queue: Vec::new(),
             retry_queue: Vec::new(),
-            next_hook: 0.0,
             incomplete: n - 1,
             down_incomplete: 0,
             root,
@@ -512,32 +508,17 @@ impl Swarm {
     /// time. (Manual drivers get fixed-step pacing; `run` jumps
     /// completion-to-completion when the config says so.)
     pub fn step(&mut self) -> f64 {
-        self.step_with(&mut |_| {})
-    }
-
-    /// Like [`step`](Self::step), invoking `hook` on the network before the
-    /// advance. Used to inject competing traffic (e.g.
-    /// [`btt_netsim::traffic::BackgroundTraffic`]) while the broadcast runs.
-    pub fn step_with(&mut self, hook: &mut dyn FnMut(&mut SimNet)) -> f64 {
-        self.slice(self.cfg.step, hook)
+        self.slice(self.cfg.step)
     }
 
     /// One slice of the drive loop: apply due perturbations, run due timers,
-    /// let the hook inject traffic, then advance to the next fragment
-    /// completion — but never past the next rechoke boundary, the next
-    /// scheduled perturbation, nor further than `max_dt` (which may be
-    /// infinite for pure event-driven pacing).
-    fn slice(&mut self, max_dt: f64, hook: &mut dyn FnMut(&mut SimNet)) -> f64 {
+    /// then advance to the next fragment completion — but never past the
+    /// next rechoke boundary, the next scheduled perturbation, nor further
+    /// than `max_dt` (which may be infinite for pure event-driven pacing).
+    fn slice(&mut self, max_dt: f64) -> f64 {
         self.apply_due_perturbations();
         if self.net.time() + 1e-9 >= self.next_rechoke {
             self.on_rechoke();
-        }
-        // The hook contract is one invocation per `step` of simulated time
-        // (the legacy engine's cadence) — NOT per event; slices stop at
-        // every fragment completion, which can be hundreds of times denser.
-        if self.net.time() + 1e-9 >= self.next_hook {
-            hook(&mut self.net);
-            self.next_hook = self.net.time() + self.cfg.step;
         }
         let mut deadline = if max_dt.is_finite() {
             self.next_rechoke.min(self.net.time() + max_dt)
@@ -1405,20 +1386,7 @@ impl Swarm {
         };
         while self.incomplete + self.down_incomplete > 0 && self.net.time() < self.cfg.max_sim_time
         {
-            self.slice(max_dt, &mut |_| {});
-        }
-        self.into_outcome()
-    }
-
-    /// Like [`run`](Self::run), invoking `hook` once per
-    /// [`SwarmConfig::step`] of simulated time — the entry point for
-    /// measuring under background load. Pacing is fixed-step regardless of
-    /// [`SwarmConfig::drive`] so injected traffic tracks simulated time,
-    /// never event density.
-    pub fn run_with(mut self, hook: &mut dyn FnMut(&mut SimNet)) -> RunOutcome {
-        while self.incomplete + self.down_incomplete > 0 && self.net.time() < self.cfg.max_sim_time
-        {
-            self.slice(self.cfg.step, hook);
+            self.slice(max_dt);
         }
         self.into_outcome()
     }
@@ -1665,34 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn background_load_slows_the_broadcast_but_it_still_completes() {
-        use btt_netsim::traffic::{BackgroundTraffic, TrafficConfig};
-        let (routes, hosts) = star_hosts(8, 890.0);
-        let quiet = Swarm::new(routes.clone(), &hosts, 0, quick_cfg(4096), 3).run();
-        assert!(quiet.finished);
-
-        // Heavy, immediately-on competing load.
-        let mut bg = BackgroundTraffic::new(
-            &hosts,
-            TrafficConfig { mean_on: 30.0, mean_off: 0.01, pairs: 12 },
-            99,
-        );
-        let loaded =
-            Swarm::new(routes, &hosts, 0, quick_cfg(4096), 3).run_with(&mut |net| bg.tick(net));
-        assert!(loaded.finished, "must complete under load");
-        assert!(
-            loaded.makespan > quiet.makespan,
-            "competing traffic should cost time: {} vs {}",
-            loaded.makespan,
-            quiet.makespan
-        );
-        // Conservation still holds under load.
-        for d in 1..8 {
-            assert_eq!(loaded.fragments.received_by(d), 4096);
-        }
-    }
-
-    #[test]
     fn crashed_host_is_lost_and_survivors_complete() {
         use btt_netsim::perturb::{Perturbation, PerturbationSchedule, TimedPerturbation};
         let (routes, hosts) = star_hosts(6, 890.0);
@@ -1763,35 +1703,41 @@ mod tests {
     #[test]
     fn cross_traffic_schedule_slows_the_broadcast() {
         use btt_netsim::perturb::{Perturbation, PerturbationSchedule, TimedPerturbation};
-        let (routes, hosts) = star_hosts(6, 890.0);
-        let quiet = Swarm::new(routes.clone(), &hosts, 0, quick_cfg(4096), 3).run();
+        // One switch: the swarm is the first six hosts, the last four are
+        // bystanders that never join it.
+        let (routes, all) = star_hosts(10, 890.0);
+        let (hosts, bystanders) = all.split_at(6);
+        let quiet = Swarm::new(routes.clone(), hosts, 0, quick_cfg(4096), 3).run();
         assert!(quiet.finished);
-        // Saturating cross-traffic into every leecher for the whole run.
-        let mut events = Vec::new();
-        let mut key = 0u32;
-        for (i, &dst) in hosts.iter().enumerate().skip(1) {
-            let src = hosts[(i + 1) % hosts.len()];
-            if src == dst {
-                continue;
+        // Saturating cross-traffic into every leecher for the whole run, sent
+        // by a fellow swarm member, then by a host outside the swarm.
+        let member = |i: usize| hosts[(i + 1) % hosts.len()];
+        let outsider = |i: usize| bystanders[i % bystanders.len()];
+        let sources: [&dyn Fn(usize) -> NodeId; 2] = [&member, &outsider];
+        for source in sources {
+            let events = (1..hosts.len())
+                .map(|i| TimedPerturbation {
+                    at: 0.0,
+                    what: Perturbation::XTrafficStart {
+                        src: source(i),
+                        dst: hosts[i],
+                        key: i as u32,
+                    },
+                })
+                .collect();
+            let loaded = Swarm::new(routes.clone(), hosts, 0, quick_cfg(4096), 3)
+                .with_perturbations(PerturbationSchedule::new(events))
+                .run();
+            assert!(loaded.finished, "must still complete under load");
+            assert!(
+                loaded.makespan > quiet.makespan,
+                "competing traffic should cost time: {} vs {}",
+                loaded.makespan,
+                quiet.makespan
+            );
+            for d in 1..6 {
+                assert_eq!(loaded.fragments.received_by(d), 4096, "conservation under load");
             }
-            events.push(TimedPerturbation {
-                at: 0.0,
-                what: Perturbation::XTrafficStart { src, dst, key },
-            });
-            key += 1;
-        }
-        let loaded = Swarm::new(routes, &hosts, 0, quick_cfg(4096), 3)
-            .with_perturbations(PerturbationSchedule::new(events))
-            .run();
-        assert!(loaded.finished, "must still complete under load");
-        assert!(
-            loaded.makespan > quiet.makespan,
-            "competing traffic should cost time: {} vs {}",
-            loaded.makespan,
-            quiet.makespan
-        );
-        for d in 1..6 {
-            assert_eq!(loaded.fragments.received_by(d), 4096, "conservation under load");
         }
     }
 
