@@ -58,8 +58,10 @@ options:
   --iterations <N>         broadcast iterations per run (default: 10)
   --paper-iterations       use each scenario's default iteration count
   --pieces <N>             file size in 16 KiB fragments (default: 512)
-  --threads <N>            measurement worker threads per campaign
-                           (default: 0 = auto, 1 = serial; reports are
+  --threads <N>            worker threads for the whole sweep, split
+                           between concurrent campaigns and each
+                           campaign's broadcasts and phase 2 (default:
+                           0 = auto, 1 = serial; reports are
                            byte-identical for every value)
   --quick                  shrink to 3 iterations x 128 fragments
   --bench                  also run the standardized engine + inference
@@ -106,8 +108,9 @@ options:
   --iterations <N>         broadcast iterations per job (default: 3)
   --pieces <N>             file size in 16 KiB fragments (default: 64)
   --recluster-every <N>    streaming re-cluster cadence (default: 1)
-  --threads <N>            measurement worker threads per job (default: 1 =
-                           serial, 0 = auto; reports stay byte-identical)
+  --threads <N>            worker threads per job for its broadcasts and
+                           phase 2 (default: 1 = serial, 0 = auto; reports
+                           stay byte-identical)
   --poll-ms <N>            delay between poll rounds (default: 10)
   --shutdown               send a shutdown request once all jobs land
   -h, --help               show this help";

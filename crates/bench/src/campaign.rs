@@ -1,8 +1,9 @@
 //! Scenario-sweep campaigns: the engine behind the `btt` CLI.
 //!
 //! A campaign is the cross product (scenario × backend × seed) of a
-//! [`SweepSpec`], run in parallel via rayon and written out as structured
-//! artifacts:
+//! [`SweepSpec`], run in parallel on the worker pool
+//! ([`btt_swarm::broadcast::pool_run_ordered`]) and written out as
+//! structured artifacts:
 //!
 //! * `<out>/<scenario>__<backend>__s<seed>.json` — one
 //!   [`ReportRecord`] per run (schema `btt-report-v1`);
@@ -10,7 +11,7 @@
 //!   (scenario, backend, seed) order.
 //!
 //! Determinism: every run derives all randomness from its own seed, the
-//! rayon shim preserves input order, and all floats are rendered with the
+//! pool emits in input order, and all floats are rendered with the
 //! round-trip formatter — so a same-spec re-run produces byte-identical
 //! files regardless of thread count. That property is what makes campaign
 //! outputs diffable across PRs (the ROADMAP's perf/accuracy trajectory).
@@ -19,7 +20,7 @@ use btt_core::pipeline::ClusteringAlgorithm;
 use btt_core::prelude::*;
 use btt_core::scenarios::ScenarioSpec;
 use btt_core::serialize::{convergence_csv, csv, json};
-use rayon::prelude::*;
+use btt_swarm::broadcast::{pool_run_ordered, resolve_threads};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,8 +87,10 @@ pub struct SweepSpec {
     pub iterations: Option<u32>,
     /// File size in 16 KiB fragments.
     pub pieces: u32,
-    /// Measurement worker threads per campaign (`0` = auto, `1` = serial).
-    /// Purely a wall-clock knob: reports are byte-identical for every value.
+    /// Worker threads for the whole sweep (`0` = auto, `1` = serial), split
+    /// between concurrent campaigns and each campaign's broadcasts and
+    /// phase 2. Purely a wall-clock knob: reports are byte-identical for
+    /// every value.
     pub threads: usize,
 }
 
@@ -157,7 +160,9 @@ pub struct RunSpec {
     pub iterations: Option<u32>,
     /// File size in fragments.
     pub pieces: u32,
-    /// Measurement worker threads (`0` = auto, `1` = serial).
+    /// Worker threads for this run's broadcasts and phase 2 (`0` = auto,
+    /// `1` = serial). [`run_sweep`] overrides it with its share of
+    /// [`SweepSpec::threads`].
     pub threads: usize,
 }
 
@@ -222,37 +227,41 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<ReportRecord> {
             None => groups.push((run, vec![i])),
         }
     }
-    // Phase 1 (simulation) in parallel, one campaign per group; phase 2
-    // (inference, comparatively cheap) per member run. Records are written
-    // back by expand-order index, so output order is deterministic.
+    // One `threads` budget for the whole sweep: `outer` campaigns run at
+    // once, each on `inner` workers for its broadcasts and phase 2. A
+    // single-group sweep gets the whole width. Records are written back by
+    // expand-order index, so output order is deterministic.
+    let width = resolve_threads(spec.threads);
+    let outer = width.min(groups.len()).max(1);
+    let inner = (width / outer).max(1);
+    let run_group = |g: u32| {
+        let (leader, members) = &groups[g as usize];
+        let session = leader.session().threads(inner);
+        // `analyze_with` hands ownership of the campaign to the report,
+        // so k backends need k-1 clones of the measurement data; the last
+        // member takes the original by move.
+        let mut campaign = Some(session.measure());
+        let last = members.len() - 1;
+        members
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| {
+                let c = if j == last {
+                    campaign.take().expect("campaign moved only once")
+                } else {
+                    campaign.as_ref().expect("campaign still owned").clone()
+                };
+                let report = session.analyze_with(c, runs[i].backend);
+                (i, ReportRecord::new(&report, runs[i].pieces))
+            })
+            .collect::<Vec<_>>()
+    };
     let mut records: Vec<Option<ReportRecord>> = vec![None; runs.len()];
-    let analyzed: Vec<Vec<(usize, ReportRecord)>> = groups
-        .into_par_iter()
-        .map(|(leader, members)| {
-            let session = leader.session();
-            // `analyze_with` hands ownership of the campaign to the report,
-            // so k backends need k-1 clones of the measurement data; the
-            // last member takes the original by move.
-            let mut campaign = Some(session.measure());
-            let last = members.len() - 1;
-            members
-                .into_iter()
-                .enumerate()
-                .map(|(j, i)| {
-                    let c = if j == last {
-                        campaign.take().expect("campaign moved only once")
-                    } else {
-                        campaign.as_ref().expect("campaign still owned").clone()
-                    };
-                    let report = session.analyze_with(c, runs[i].backend);
-                    (i, ReportRecord::new(&report, runs[i].pieces))
-                })
-                .collect()
-        })
-        .collect();
-    for (i, record) in analyzed.into_iter().flatten() {
-        records[i] = Some(record);
-    }
+    pool_run_ordered(groups.len() as u32, outer, &run_group, &mut |analyzed| {
+        for (i, record) in analyzed {
+            records[i] = Some(record);
+        }
+    });
     records.into_iter().map(|r| r.expect("every run analyzed")).collect()
 }
 
@@ -1275,6 +1284,22 @@ mod tests {
             assert_eq!(rec.algorithm, run.backend.name());
             assert_eq!(rec.seed, 7);
             assert_eq!(rec.convergence.len(), 2);
+        }
+    }
+
+    #[test]
+    fn sweep_records_are_identical_at_every_width() {
+        // Four (scenario, seed) groups: width 2 runs two campaigns at once
+        // on one worker each, width 8 runs all four on two workers each.
+        let mut spec = tiny_spec();
+        spec.seeds = vec![7, 8];
+        spec.iterations = Some(3);
+        spec.threads = 1;
+        let serial = run_sweep(&spec);
+        assert_eq!(serial.len(), 8);
+        for threads in [2, 8] {
+            spec.threads = threads;
+            assert_eq!(run_sweep(&spec), serial, "threads {threads}");
         }
     }
 

@@ -172,8 +172,8 @@ pub struct JobSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence (optional, default 1 — every run).
     pub recluster_every: u32,
-    /// Measurement worker threads (optional, default 1 = serial, 0 = one per
-    /// CPU).
+    /// Worker threads for the job's broadcasts and phase 2 (optional,
+    /// default 1 = serial, 0 = one per CPU).
     /// A wall-clock knob only: the report is byte-identical for every value.
     pub threads: usize,
 }
@@ -899,6 +899,8 @@ mod tests {
         let cases: Vec<(Json, &str)> = vec![
             (Json::obj(vec![]), "scenario"),
             (Json::obj(vec![("scenario", Json::Str("not-a-spec".to_string()))]), "scenario"),
+            // Parses as a family but builds a single host: no broadcast.
+            (Json::obj(vec![("scenario", Json::Str("wan:1x1:0.5".to_string()))]), "scenario"),
             (
                 Json::obj(vec![
                     ("scenario", Json::Str("2x2".to_string())),

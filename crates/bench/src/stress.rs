@@ -34,7 +34,8 @@ pub struct StressSpec {
     pub pieces: u32,
     /// Streaming re-cluster cadence.
     pub recluster_every: u32,
-    /// Measurement worker threads per job (1 = serial, 0 = one per CPU).
+    /// Worker threads per job for its broadcasts and phase 2 (1 = serial,
+    /// 0 = one per CPU).
     pub threads: usize,
     /// Delay between status/snapshot polls per in-flight job.
     pub poll: Duration,

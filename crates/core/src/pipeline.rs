@@ -12,8 +12,9 @@
 //! * **filling the series** — one streaming pass folds each broadcast run
 //!   into the metric exactly once (O(total edges) aggregation instead of
 //!   re-aggregating every prefix from scratch), snapshotting an immutable
-//!   measurement graph for each missing prefix; the per-prefix clustering
-//!   + scoring then fans out over rayon in bounded chunks;
+//!   measurement graph for each missing prefix; clustering and scoring of
+//!   those prefixes then fan out over the worker pool
+//!   ([`btt_swarm::broadcast::pool_run_ordered`]) in bounded chunks;
 //! * **assembling the report** — final partition, reliability block,
 //!   degeneracy flag and diagnosis around the filled series.
 //!
@@ -22,9 +23,9 @@
 //! same scorer and, at finalize, fills only the prefixes its cadence
 //! skipped before the same assembly. [`convergence_series`] and
 //! [`convergence_series_timed`] are views over the fill. Per-prefix seeds
-//! are `splitmix64(seed ^ k)` and the rayon shim preserves input order, so
-//! reports are byte-identical per seed — pinned by a golden equivalence
-//! test against a serial from-scratch oracle kept in
+//! are `splitmix64(seed ^ k)` and the pool emits in input order, so
+//! reports are byte-identical per seed and thread count — pinned by a
+//! golden equivalence test against a serial from-scratch oracle kept in
 //! `crates/core/tests/phase2_scale.rs`.
 //!
 //! At [`SPARSE_NODE_THRESHOLD`] hosts and beyond, measurement graphs are
@@ -48,9 +49,8 @@ use btt_cluster::nmi::nmi;
 use btt_cluster::onmi::onmi_partitions;
 use btt_cluster::partition::Partition;
 use btt_netsim::util::splitmix64;
-use btt_swarm::broadcast::{BroadcastResult, Campaign};
+use btt_swarm::broadcast::{pool_run_ordered, BroadcastResult, Campaign};
 use btt_swarm::metrics::MetricAccumulator;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Which phase-2 algorithm clusters the measurement graph.
@@ -384,7 +384,7 @@ pub fn convergence_series_timed(
     seed: u64,
 ) -> (Vec<ConvergencePoint>, InferenceTiming) {
     let mut points = vec![None; campaign.runs.len()];
-    let timing = fill_series(&campaign.runs, &mut points, ground_truth, backend.into(), seed);
+    let timing = fill_series(&campaign.runs, &mut points, ground_truth, backend.into(), seed, 0);
     (points.into_iter().map(|p| p.expect("the fill scores every prefix")).collect(), timing)
 }
 
@@ -415,16 +415,18 @@ pub(crate) fn score_prefix(
 /// accumulator exactly once, snapshotting an immutable measurement graph
 /// after each push whose prefix is missing. Parallel pass: once
 /// [`PREFIX_CHUNK`] snapshots are pending (or the last missing prefix is
-/// reached), cluster + score them independently. Prefix `k` is clustered
-/// with seed `splitmix64(seed ^ k)` and the rayon shim returns results in
-/// input order, so the series is deterministic regardless of thread
-/// count, chunk size, or which prefixes were already filled.
+/// reached), cluster + score them independently on `threads` pool workers
+/// (`0` = one per CPU). Prefix `k` is clustered with seed
+/// `splitmix64(seed ^ k)` and the pool emits results in input order, so
+/// the series is deterministic regardless of thread count, chunk size, or
+/// which prefixes were already filled.
 fn fill_series(
     runs: &[BroadcastResult],
     points: &mut [Option<ConvergencePoint>],
     truth: &Partition,
     backend: Backend,
     seed: u64,
+    threads: usize,
 ) -> InferenceTiming {
     debug_assert_eq!(points.len(), runs.len());
     let mut timing = InferenceTiming { aggregate_ms: 0.0, cluster_ms: 0.0 };
@@ -443,17 +445,16 @@ fn fill_series(
 
         if snapshots.len() == PREFIX_CHUNK || i == last {
             let t1 = Instant::now();
-            let scored: Vec<ConvergencePoint> = std::mem::take(&mut snapshots)
-                .into_par_iter()
-                .map(|(k, g)| {
-                    let p = backend.infer(&g, splitmix64(seed ^ k as u64));
-                    score_prefix(k, &g, &p, truth)
-                })
-                .collect();
-            for point in scored {
+            let score = |j: u32| {
+                let (k, g) = &snapshots[j as usize];
+                let p = backend.infer(g, splitmix64(seed ^ *k as u64));
+                score_prefix(*k, g, &p, truth)
+            };
+            pool_run_ordered(snapshots.len() as u32, threads, &score, &mut |point| {
                 let slot = point.iterations as usize - 1;
                 points[slot] = Some(point);
-            }
+            });
+            snapshots.clear();
             timing.cluster_ms += t1.elapsed().as_secs_f64() * 1e3;
         }
     }
@@ -485,7 +486,9 @@ impl std::error::Error for PipelineError {}
 /// Runs phase 2 on a finished campaign for `scenario`, producing the
 /// report. A campaign with zero iterations is a typed error here — the
 /// pipeline boundary — rather than an `expect` failure when the report is
-/// later read.
+/// later read. The prefix fill runs one pool worker per CPU;
+/// [`crate::session::TomographySession`] runs it at the session's
+/// `threads` instead.
 pub fn analyze(
     scenario: &Scenario,
     campaign: Campaign,
@@ -493,28 +496,30 @@ pub fn analyze(
     seed: u64,
 ) -> Result<TomographyReport, PipelineError> {
     let points = vec![None; campaign.runs.len()];
-    assemble_report(scenario, campaign, points, backend.into(), seed)
+    assemble_report(scenario, campaign, points, backend.into(), seed, 0)
 }
 
 /// Finishes phase 2 — the one place a [`TomographyReport`] is built, for
 /// both batch [`analyze`] and [`crate::session::LiveSession::finalize`].
 ///
-/// Fills the convergence prefixes `points` is missing (one slot per run;
-/// see `fill_series`), clusters the fully-aggregated metric with seed
-/// `splitmix64(seed ^ 0xFFFF_FFFF)`, and attaches the reliability block,
-/// the degeneracy flag and the inference diagnosis.
+/// Fills the convergence prefixes `points` is missing on `threads` pool
+/// workers (one slot per run; see `fill_series`), clusters the
+/// fully-aggregated metric with seed `splitmix64(seed ^ 0xFFFF_FFFF)`, and
+/// attaches the reliability block, the degeneracy flag and the inference
+/// diagnosis.
 pub(crate) fn assemble_report(
     scenario: &Scenario,
     campaign: Campaign,
     mut points: Vec<Option<ConvergencePoint>>,
     backend: Backend,
     seed: u64,
+    threads: usize,
 ) -> Result<TomographyReport, PipelineError> {
     if campaign.runs.is_empty() {
         return Err(PipelineError::EmptyCampaign);
     }
     let truth = &scenario.ground_truth;
-    fill_series(&campaign.runs, &mut points, truth, backend, seed);
+    fill_series(&campaign.runs, &mut points, truth, backend, seed, threads);
     let convergence = points.into_iter().map(|p| p.expect("the fill scores every prefix"));
     let g = auto_metric_graph(&campaign.metric);
     let final_partition = backend.infer(&g, splitmix64(seed ^ 0xFFFF_FFFF));

@@ -176,6 +176,12 @@ impl ScenarioSpec {
                 .filter(|&n| n > 0)
                 .ok_or_else(|| format!("{text:?}: expected positive integer dimensions"))
         };
+        // Fat-trees and WANs can build a single host; stars cannot (every
+        // arm holds a host and the hub holds at least one).
+        let two_hosts = |hosts: usize| match hosts {
+            0 | 1 => Err(format!("{text:?}: builds a single host; a broadcast needs at least 2")),
+            _ => Ok(()),
+        };
         let ratio = |i: usize, default: f64| -> Result<f64, String> {
             match parts.get(i) {
                 None => Ok(default),
@@ -193,10 +199,12 @@ impl ScenarioSpec {
                         "{text:?}: fat-tree wants <pods>x<racks>x<hosts>[:<edge_oversub>[:<core_oversub>]]"
                     ));
                 }
+                let (pods, racks_per_pod, hosts_per_rack) = (dim(0)?, dim(1)?, dim(2)?);
+                two_hosts(pods.saturating_mul(racks_per_pod).saturating_mul(hosts_per_rack))?;
                 Ok(ScenarioSpec::FatTree(FatTree {
-                    pods: dim(0)?,
-                    racks_per_pod: dim(1)?,
-                    hosts_per_rack: dim(2)?,
+                    pods,
+                    racks_per_pod,
+                    hosts_per_rack,
                     edge_oversubscription: ratio(1, 4.0)?,
                     core_oversubscription: ratio(2, 1.0)?,
                 }))
@@ -228,9 +236,11 @@ impl ScenarioSpec {
                         "{text:?}: wan wants <sites>x<hosts>[:<bottleneck_ratio>[:<access_mbps>]]"
                     ));
                 }
+                let (sites, hosts) = (dim(0)?, dim(1)?);
+                two_hosts(sites.saturating_mul(hosts))?;
                 Ok(ScenarioSpec::Wan {
-                    sites: dim(0)?,
-                    hosts: dim(1)?,
+                    sites,
+                    hosts,
                     bottleneck_ratio: ratio(1, 0.5)?,
                     access_mbps: ratio(2, btt_netsim::synthetic::SYNTH_ACCESS_MBPS)?,
                 })
@@ -428,6 +438,10 @@ mod tests {
             "wan:2x2+churn=-0.1",
             "wan:2x2+crash=0.5",
             "wan:2x2+churn=nope",
+            // Parse as families but build a single host.
+            "wan:1x1:0.5",
+            "fat-tree:1x1x1:8:1",
+            "wan:1x1+churn=0.1",
         ] {
             assert!(ScenarioSpec::parse(text).is_err(), "{text:?} should fail");
         }

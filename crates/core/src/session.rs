@@ -34,8 +34,8 @@
 use crate::backend::Backend;
 use crate::dataset::{Dataset, Scenario};
 use crate::pipeline::{
-    analyze, assemble_report, auto_metric_graph, degenerate_partition, score_prefix,
-    ClusteringAlgorithm, ConvergencePoint, PipelineError, ReliabilityReport, TomographyReport,
+    assemble_report, auto_metric_graph, degenerate_partition, score_prefix, ClusteringAlgorithm,
+    ConvergencePoint, PipelineError, ReliabilityReport, TomographyReport,
 };
 use btt_cluster::louvain::LouvainScratch;
 use btt_cluster::partition::Partition;
@@ -135,11 +135,13 @@ impl TomographySession {
         self
     }
 
-    /// Sets the phase-1 worker-thread count: `0` (the default) uses one
-    /// worker per available CPU, `1` runs broadcasts strictly serially.
-    /// Purely a wall-clock knob — completed runs are folded in iteration
-    /// order through a reorder buffer, so the report is byte-identical for
-    /// every thread count (pinned by `tests/parallel_equivalence.rs`).
+    /// Sets the worker-thread count for both phases — the broadcasts and
+    /// phase 2's prefix fill: `0` (the default) uses one worker per
+    /// available CPU, `1` runs everything strictly serially on the calling
+    /// thread. Purely a wall-clock knob — completed work is emitted in
+    /// index order through a reorder buffer, so the report is
+    /// byte-identical for every thread count (pinned by
+    /// `tests/parallel_equivalence.rs`).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -188,7 +190,8 @@ impl TomographySession {
         campaign: btt_swarm::broadcast::Campaign,
         backend: impl Into<Backend>,
     ) -> TomographyReport {
-        analyze(&self.scenario, campaign, backend, self.seed)
+        let points = vec![None; campaign.runs.len()];
+        assemble_report(&self.scenario, campaign, points, backend.into(), self.seed, self.threads)
             .expect("session campaigns hold at least one iteration")
     }
 
@@ -460,7 +463,8 @@ impl LiveSession {
         let LiveSession { session, runs, acc, mut points, .. } = self;
         points.truncate(runs.len());
         let campaign = Campaign { runs, metric: acc };
-        assemble_report(&session.scenario, campaign, points, session.backend, session.seed)
+        let (backend, seed, threads) = (session.backend, session.seed, session.threads);
+        assemble_report(&session.scenario, campaign, points, backend, seed, threads)
     }
 }
 

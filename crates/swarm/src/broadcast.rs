@@ -16,7 +16,9 @@ use btt_netsim::perturb::{generate_schedule, horizon_estimate, ReliabilityCfg};
 use btt_netsim::routing::RouteTable;
 use btt_netsim::topology::NodeId;
 use btt_netsim::util::seed_for_iteration;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -185,37 +187,61 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Shared state between pool workers and the emitting thread: completed
-/// results parked until their iteration index is next in line.
+/// results parked until their index is next in line.
 struct Reorder<T> {
-    /// The iteration index the emitter needs next.
+    /// The index the emitter needs next.
     next: u32,
-    /// Completed, not-yet-emitted results keyed by iteration index.
+    /// Completed, not-yet-emitted results keyed by index.
     slots: BTreeMap<u32, T>,
+    /// The first panic raised by `produce` or `emit`. Once set, workers
+    /// stop claiming and waiting and the emitter stops draining, so nobody
+    /// waits for a slot that will never land.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// Runs `produce(k)` for every `k` in `0..end` on a bounded
-/// work-stealing pool of `workers` threads and hands each result to `emit`
-/// **in strict `k` order** on the calling thread.
+const POISONED: &str = "worker pool poisoned";
+
+/// Runs `produce(k)` for every `k` in `0..end` on a bounded work-stealing
+/// pool and hands each result to `emit` **in strict `k` order** on the
+/// calling thread. This is the workspace's one way to fan out computation:
+/// broadcasts, the phase-2 prefix fill and the sweep's campaigns all run
+/// on it.
 ///
-/// Workers steal the next unclaimed index from a shared atomic cursor and
-/// park finished results in a reorder buffer; the calling thread drains the
-/// buffer in order as soon as the next index lands. Backpressure bounds the
-/// buffer at `2 × workers` parked results — a worker that races far ahead
-/// blocks until the emitter catches up, except for the one holding the
+/// `threads` is resolved by [`resolve_threads`] (`0` = one per CPU) and
+/// clamped to the work. A width of one runs everything on the calling
+/// thread and spawns nothing. Otherwise workers steal the next unclaimed
+/// index from a shared atomic cursor and park finished results in a
+/// reorder buffer; the calling thread drains the buffer in order as soon
+/// as the next index lands. Backpressure bounds the buffer at
+/// `2 × workers` parked results — a worker that races far ahead blocks
+/// until the emitter catches up, except for the one holding the
 /// next-needed index, which always inserts (no deadlock).
-fn pool_run_ordered<T: Send>(
+///
+/// A panic in `produce` or `emit` stops the pool and resumes unwinding on
+/// the calling thread once every worker has exited.
+pub fn pool_run_ordered<T: Send>(
     end: u32,
-    workers: usize,
+    threads: usize,
     produce: &(dyn Fn(u32) -> T + Sync),
     emit: &mut dyn FnMut(T),
 ) {
     // Clamp the width to the work first: an unchecked `threads` value
     // (any u64 from a job spec) must not overflow the buffer bound.
-    let workers = workers.min(end as usize);
+    let workers = resolve_threads(threads).min(end as usize);
+    if workers <= 1 {
+        for k in 0..end {
+            emit(produce(k));
+        }
+        return;
+    }
     let bound = 2 * workers;
     let cursor = AtomicU32::new(0);
-    let shared = Mutex::new(Reorder { next: 0, slots: BTreeMap::new() });
+    let shared = Mutex::new(Reorder { next: 0, slots: BTreeMap::new(), panic: None });
     let ready = Condvar::new();
+    let fail = |payload: Box<dyn Any + Send>| {
+        shared.lock().expect(POISONED).panic.get_or_insert(payload);
+        ready.notify_all();
+    };
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -223,33 +249,46 @@ fn pool_run_ordered<T: Send>(
                 if k >= end {
                     break;
                 }
-                let value = produce(k);
-                let mut state = shared.lock().expect("campaign pool poisoned");
+                let Ok(value) = catch_unwind(AssertUnwindSafe(|| produce(k))).map_err(&fail) else {
+                    break;
+                };
+                let mut state = shared.lock().expect(POISONED);
                 // Backpressure — unless this is the next-needed result,
                 // which must always land for the emitter to progress.
-                while state.slots.len() >= bound && k != state.next {
-                    state = ready.wait(state).expect("campaign pool poisoned");
+                while state.slots.len() >= bound && k != state.next && state.panic.is_none() {
+                    state = ready.wait(state).expect(POISONED);
+                }
+                if state.panic.is_some() {
+                    break;
                 }
                 state.slots.insert(k, value);
                 drop(state);
                 ready.notify_all();
             });
         }
-        // The calling thread is the emitter: drain in iteration order.
-        let mut state = shared.lock().expect("campaign pool poisoned");
-        while state.next < end {
-            let k = state.next;
-            if let Some(value) = state.slots.remove(&k) {
-                state.next = k + 1;
-                drop(state);
-                ready.notify_all();
-                emit(value);
-                state = shared.lock().expect("campaign pool poisoned");
-            } else {
-                state = ready.wait(state).expect("campaign pool poisoned");
+        // The calling thread is the emitter: drain in index order.
+        let drained = catch_unwind(AssertUnwindSafe(|| {
+            let mut state = shared.lock().expect(POISONED);
+            while state.next < end && state.panic.is_none() {
+                let k = state.next;
+                if let Some(value) = state.slots.remove(&k) {
+                    state.next = k + 1;
+                    drop(state);
+                    ready.notify_all();
+                    emit(value);
+                    state = shared.lock().expect(POISONED);
+                } else {
+                    state = ready.wait(state).expect(POISONED);
+                }
             }
+        }));
+        if let Err(payload) = drained {
+            fail(payload);
         }
     });
+    if let Some(payload) = shared.into_inner().expect(POISONED).panic {
+        resume_unwind(payload);
+    }
 }
 
 /// Completion-driven campaign driver: runs `iterations` broadcasts and hands
@@ -292,14 +331,7 @@ pub fn stream_campaign_with_reliability(
         let outcome = swarm.run();
         RunObservation { iteration: k, root, seed, outcome }
     };
-    let workers = resolve_threads(threads);
-    if workers <= 1 || iterations <= 1 {
-        for k in 0..iterations {
-            sink(run_one(k));
-        }
-    } else {
-        pool_run_ordered(iterations, workers, &run_one, sink);
-    }
+    pool_run_ordered(iterations, threads, &run_one, sink);
 }
 
 /// [`run_campaign`] under reliability perturbations: each iteration gets an
@@ -346,6 +378,7 @@ pub fn run_campaign_with_reliability(
 mod tests {
     use super::*;
     use btt_netsim::prelude::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn star(n: usize) -> (Arc<RouteTable>, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
@@ -577,6 +610,59 @@ mod tests {
         let mut seen = Vec::new();
         pool_run_ordered(3, usize::MAX, &|k| k, &mut |v| seen.push(v));
         assert_eq!(seen, [0, 1, 2]);
+    }
+
+    #[test]
+    fn pool_never_runs_more_than_its_width_at_once() {
+        for workers in [2usize, 3, 5] {
+            let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let produce = |k: u32| {
+                peak.fetch_max(in_flight.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                k
+            };
+            let mut seen = Vec::new();
+            pool_run_ordered(40, workers, &produce, &mut |v| seen.push(v));
+            assert_eq!(seen, (0..40).collect::<Vec<u32>>());
+            assert!(peak.into_inner() <= workers, "width {workers}");
+        }
+    }
+
+    #[test]
+    fn pool_of_one_runs_every_produce_on_the_caller() {
+        let mut ids = Vec::new();
+        pool_run_ordered(6, 1, &|_| std::thread::current().id(), &mut |id| ids.push(id));
+        assert_eq!(ids, vec![std::thread::current().id(); 6]);
+    }
+
+    #[test]
+    fn a_panic_in_produce_or_emit_reaches_the_caller() {
+        use std::time::Duration;
+        // Each call runs on a helper thread, so a pool that deadlocks fails
+        // the timeout instead of hanging the test.
+        let panics = |call: fn()| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(catch_unwind(call).is_err()));
+            rx.recv_timeout(Duration::from_secs(30)).expect("the pool deadlocked")
+        };
+        assert!(panics(|| pool_run_ordered(4, 2, &|k| assert_ne!(k, 1), &mut |_| {})));
+        // A late failure: the other two workers fill the 6-slot buffer and
+        // each produce one more result they cannot park before index 0
+        // panics.
+        fn late(k: u32) {
+            static PRODUCED: AtomicUsize = AtomicUsize::new(0);
+            if k == 0 {
+                while PRODUCED.load(Ordering::SeqCst) < 8 {
+                    std::thread::yield_now();
+                }
+                panic!("late failure");
+            }
+            PRODUCED.fetch_add(1, Ordering::SeqCst);
+        }
+        assert!(panics(|| pool_run_ordered(200, 3, &late, &mut |_| {})));
+        assert!(panics(|| pool_run_ordered(50, 2, &|k| k, &mut |k| assert!(k < 3))));
+        assert!(!panics(|| pool_run_ordered(50, 2, &|k| k, &mut |_| {})));
     }
 
     #[test]

@@ -50,8 +50,9 @@ pub mod tracker;
 pub mod prelude {
     pub use crate::bitfield::Bitfield;
     pub use crate::broadcast::{
-        resolve_threads, run_broadcast, run_campaign, run_campaign_with_reliability,
-        stream_campaign_with_reliability, BroadcastResult, Campaign, RootPolicy, RunObservation,
+        pool_run_ordered, resolve_threads, run_broadcast, run_campaign,
+        run_campaign_with_reliability, stream_campaign_with_reliability, BroadcastResult, Campaign,
+        RootPolicy, RunObservation,
     };
     pub use crate::config::{SelectionPolicy, SwarmConfig};
     pub use crate::metrics::{FragmentMatrix, MetricAccumulator, WindowedMetric};

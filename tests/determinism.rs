@@ -1,7 +1,8 @@
 //! Deterministic-seeding regression test: the whole pipeline — ChaCha12
 //! seeding through netsim traffic, swarm tracker/choking/selection, and the
 //! Louvain tie-breaking — must be a pure function of the master seed, even
-//! though broadcast iterations run under rayon.
+//! though broadcast iterations and phase 2's prefix fill run on the worker
+//! pool.
 
 use bittorrent_tomography::prelude::*;
 
@@ -19,8 +20,7 @@ fn same_seed_same_report() {
 
 #[test]
 fn same_seed_same_report_under_contention() {
-    // The larger two-site dataset exercises the rayon-parallel campaign
-    // path, tracker randomization, and choking rotation; the report must
+    // The larger two-site dataset exercises the pooled campaign path, tracker randomization, and choking rotation; the report must
     // still be a pure function of the master seed.
     let a = run_once(Dataset::GT, 2012);
     let b = run_once(Dataset::GT, 2012);

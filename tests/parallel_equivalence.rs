@@ -1,9 +1,10 @@
-//! Parallel phase-1 campaigns are byte-identical to the serial schedule.
+//! Parallel campaigns are byte-identical to the serial schedule.
 //!
-//! The parallel-measurement refactor shards the iteration×seed campaign
-//! grid across a bounded worker pool, but a reorder buffer hands finished
-//! broadcasts to the metric fold in strict iteration order — so the worker
-//! count is a pure wall-clock knob. This suite pins that claim the same way
+//! A session's `threads` is the width of its one worker pool, which runs
+//! both the broadcasts and phase 2's prefix fill. A reorder buffer hands
+//! finished broadcasts to the metric fold, and scored prefixes to the
+//! series, in strict index order — so the worker count is a pure
+//! wall-clock knob. This suite pins that claim the same way
 //! the streaming refactor was pinned: serialized reports must not move by a
 //! single byte for any thread count, on clean and churned presets, in both
 //! [`DriveMode`]s, through both the batch and the streaming entry points.
